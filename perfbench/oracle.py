@@ -19,6 +19,8 @@ import numpy as np
 from workloads import Workload
 
 ALPHA = 0.05
+WINDOW_LEN = 90  # the CLI's --window-len and --min-fill defaults
+MIN_FILL = 0.5
 
 PERIODS = (
     ("full", "2008-08-08", "2015-04-25"),
@@ -79,12 +81,12 @@ def _stats(counts: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _window_bounds(n: int, w: Workload) -> tuple[np.ndarray, np.ndarray]:
-    full = (n - w.window_len) // w.step + 1 if n >= w.window_len else 0
-    starts = list(range(0, full * w.step, w.step))
-    stops = [s + w.window_len for s in starts]
-    tail = full * w.step
-    if 0 < n - tail and n - tail >= w.window_len * w.min_fill:
+def _window_bounds(n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    full = (n - WINDOW_LEN) // step + 1 if n >= WINDOW_LEN else 0
+    starts = list(range(0, full * step, step))
+    stops = [s + WINDOW_LEN for s in starts]
+    tail = full * step
+    if 0 < n - tail and n - tail >= WINDOW_LEN * MIN_FILL:
         starts.append(tail)
         stops.append(n)
     return np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
@@ -109,7 +111,7 @@ def expected(w: Workload, series) -> Expected:
         delta, when = delta[keep], dates[1:][keep]
         prefix = _prefix_counts(first_digits(delta))
         if w.command == "track":
-            starts, stops = _window_bounds(len(delta), w)
+            starts, stops = _window_bounds(len(delta), w.step)
             keys = [(s.entity, s.tenor, i + 1) for i in range(len(starts))]
         else:
             starts = np.searchsorted(when, [lo for _, lo, _ in periods], "left")

@@ -15,7 +15,8 @@ computes the expected results with `oracle.py`, and then:
 - `--trace 1`: calls `cli.main` in this process, alternating untraced
   and traced calls, and reports per-layer self times and counts from the
   spans `tracer.py` records, the tracing overhead and the fresh-process
-  import time.
+  import time.  The JSON result holds the figures every listed workload
+  records as nonzero; the report lines also give the rest.
 
 `--workload all` interleaves the three workloads round-robin in one run
 and prefixes each metric with its workload.  `--smoke` shrinks every
@@ -52,7 +53,7 @@ import benfordtrack.cli  # noqa: E402
 
 import check  # noqa: E402
 import oracle  # noqa: E402
-from tracer import STAGES, Tracer  # noqa: E402
+from tracer import JOINED, STAGES, Tracer, wrapper_cost  # noqa: E402
 from workloads import WORKLOADS, Workload  # noqa: E402
 
 SETUPS = 5  # set-ups per run; setup_s is their median
@@ -63,6 +64,16 @@ MIN_INVOCATIONS = 3
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 END_TO_END_UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
 PER_LAYER_UNITS = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
+# Traced figures printed in the report but not in the JSON result: the
+# parts of each joined layer time, and counts that read 0 on one of the
+# listed workloads (no gap drops or failed cells on a sorted full panel,
+# no rolling windows under `analyze`).
+REPORT_ONLY = {
+    **{part: "s" for parts in JOINED.values() for part in parts},
+    "panel.dropped": "count", "windows.windows": "count",
+    "reporting.failed_cells": "count", "trace.wrapper_cost_us": "us",
+    "untraced_s": "s", "traced_s": "s",
+}
 
 
 def spin() -> float:
@@ -219,19 +230,24 @@ def call_main(case: Case, tracer: Tracer | None) -> float:
 def trace_round(case: Case, host: HostSpeed) -> None:
     """An untraced then a traced in-process call; records layer samples.
 
-    The overhead compares the pair after rescaling each call to the
-    nominal host speed, so drift between the two calls cancels.
+    The tracing overhead is the traced call's wrapped-call count times
+    the cost of one wrapper, measured on a no-op just after the untraced
+    call, over the untraced call's time.  Timing the traced call against
+    the untraced one instead measures host drift more than tracing.
     """
     untraced = call_main(case, None)
-    untraced_scaled = untraced * host.factor()
+    cost = wrapper_cost()
     tracer = Tracer()
     traced = call_main(case, tracer)
-    traced_scaled = traced * host.factor()
+    host.spins.append(spin())
+    calls = len(tracer.spans)
     case.add("untraced_s", untraced)
     case.add("traced_s", traced)
-    case.add("trace.overhead_frac", traced_scaled / untraced_scaled - 1.0)
+    case.add("trace.wrapper_cost_us", cost * 1e6)
+    case.add("trace.wrapped_calls", calls)
+    case.add("trace.overhead_frac", calls * cost / untraced)
     layers = tracer.summary()
-    counts = {k: v for k, v in layers.items() if PER_LAYER_UNITS.get(k) == "count"}
+    counts = {k: v for k, v in layers.items() if not k.endswith("_s")}
     if case.counts is None:
         case.counts = counts
     elif counts != case.counts:
@@ -258,18 +274,20 @@ def report(case: Case, trace: bool) -> None:
     print(f"workload {w.name}: {' '.join(w.argv('PANEL'))}")
     print("  input " + " ".join(f"{k}={v}" for k, v in case.record.items()))
     if trace:
-        shown = [*PER_LAYER_UNITS, "untraced_s", "traced_s"]
+        shown = [*PER_LAYER_UNITS, *REPORT_ONLY]
     else:
         shown = [*END_TO_END_UNITS, "raw_wall_s", "raw_cpu_s", "raw_setup_s",
                  "host.spin_s"]
     for name in shown:
         values = case.samples.get(name)
         if not values:
-            if name in case.absent:
-                print(f"  {name:<26} absent")
+            if trace:
+                gone = "absent" if name in case.absent else "not reached"
+                print(f"  {name:<26} {gone}")
             continue
         q1, q2, q3 = _quartiles(values)
-        unit = PER_LAYER_UNITS.get(name) or END_TO_END_UNITS.get(name, "s")
+        unit = (PER_LAYER_UNITS.get(name) or END_TO_END_UNITS.get(name)
+                or REPORT_ONLY.get(name, "s"))
         print(f"  {name:<26} median {q2:.6g} {unit}  q1 {q1:.6g}  q3 {q3:.6g}"
               f"  n={len(values)}")
     if trace:

@@ -5,12 +5,14 @@ holds it, so calls through `from .x import y` names are caught too.
 Spans stay in memory with their parent; `summary()` turns them into
 per-layer self times (span minus the time its child spans cover) and
 counts.  A target that no longer exists is skipped and its metrics are
-reported as absent.
+reported as absent; one that a run never calls is left out of its
+summary.
 """
 
 from __future__ import annotations
 
 import importlib
+import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -53,32 +55,39 @@ class Target:
     count_names: tuple[str, ...] = ()
 
 
-# Entry points that only some commands reach share a metric with those
-# the other commands reach (period slicing runs under analyze, rolling
-# windows under track), so no reported self time is zero on every run.
 TARGETS = (
     Target("benfordtrack.cli", "main", "cli.self", "cli"),
     Target("benfordtrack.panel", "parse_panel", "panel.parse", "parse", _rows,
            ("panel.rows", "panel.series")),
     Target("benfordtrack.panel", "daily_changes", "panel.changes", "changes", _changes,
            ("panel.changes", "panel.dropped")),
-    Target("benfordtrack.panel", "ChangeSeries.slice", "windows.aggregate",
-           "aggregate"),
+    Target("benfordtrack.panel", "ChangeSeries.slice", "panel.slice", "aggregate"),
     Target("benfordtrack.digits", "digit_histogram", "digits.histogram", "digits",
            _histogram, ("digits.histogram_calls", "digits.values")),
     Target("benfordtrack.stats", "conformity", "stats.conformity", "stats",
            lambda result: {"stats.conformity_calls": 1}, ("stats.conformity_calls",)),
-    Target("benfordtrack.windows", "track", "windows.aggregate", "aggregate", _windows,
+    Target("benfordtrack.windows", "track", "windows.track", "aggregate", _windows,
            ("windows.windows",)),
-    Target("benfordtrack.windows", "analyze_period", "windows.aggregate", "aggregate"),
-    Target("benfordtrack.reporting", "build_period_report", "reporting.build",
+    Target("benfordtrack.windows", "analyze_period", "windows.analyze_period",
            "aggregate"),
-    Target("benfordtrack.reporting", "build_track_report", "reporting.build",
+    Target("benfordtrack.reporting", "build_period_report", "reporting.build_report",
            "aggregate"),
-    Target("benfordtrack.reporting", "fit_trend", "reporting.build", "aggregate"),
+    Target("benfordtrack.reporting", "build_track_report", "reporting.build_report",
+           "aggregate"),
+    Target("benfordtrack.reporting", "fit_trend", "reporting.fit_trend", "aggregate"),
     Target("benfordtrack.reporting", "emit", "reporting.emit", "emit", _emitted,
            ("reporting.emit_bytes",)),
 )
+
+# Period slicing runs only under `analyze`, rolling windows and trend fits
+# only under `track`.  Each of those self times is summed with the entry
+# points the other command reaches into one layer time that every
+# workload records, so no reported time reads 0 on every run of a workload.
+JOINED = {
+    "windows.aggregate_s": ("panel.slice_s", "windows.track_s",
+                            "windows.analyze_period_s"),
+    "reporting.build_s": ("reporting.build_report_s", "reporting.fit_trend_s"),
+}
 
 STAGES = {t.metric + "_s": t.stage for t in TARGETS}
 
@@ -146,6 +155,9 @@ class Tracer:
                 self.absent.update(target.count_names)
                 if target.metric not in present:
                     self.absent.add(target.metric + "_s")
+        for joined, parts in JOINED.items():
+            if self.absent.issuperset(parts):
+                self.absent.add(joined)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -154,19 +166,41 @@ class Tracer:
         self._undo.clear()
 
     def summary(self) -> dict[str, float]:
-        """Self seconds per layer metric plus the counts, absent ones left out."""
+        """Self seconds and counts of the layers this run reached.
+
+        A target without a span, or a count never recorded, is left out,
+        as is an absent one.  Each `JOINED` time sums the parts present.
+        """
         child = [0.0] * len(self.spans)
         for _, start, end, parent in self.spans:
             if parent >= 0:
                 child[parent] += end - start
         out: dict[str, float] = {}
-        for target in self.targets:
-            if target.metric + "_s" not in self.absent:
-                out.setdefault(target.metric + "_s", 0.0)
         for (metric, start, end, _), covered in zip(self.spans, child):
-            out[metric + "_s"] += end - start - covered
-        for target in self.targets:
-            for name in target.count_names:
-                if name not in self.absent:
-                    out[name] = self.counts.get(name, 0)
+            name = metric + "_s"
+            out[name] = out.get(name, 0.0) + end - start - covered
+        for joined, parts in JOINED.items():
+            if any(p in out for p in parts):
+                out[joined] = sum(out.get(p, 0.0) for p in parts)
+        out.update((k, v) for k, v in self.counts.items() if k not in self.absent)
         return out
+
+
+def wrapper_cost(calls: int = 20_000, repeats: int = 5) -> float:
+    """Seconds one wrapped call adds to a plain one, measured on a no-op."""
+    def noop():
+        return None
+
+    clock = time.perf_counter
+    costs = []
+    for _ in range(repeats):
+        wrapped = Tracer(())._wrap(Target("", "", "noop", ""), noop)
+        start = clock()
+        for _ in range(calls):
+            noop()
+        bare = clock() - start
+        start = clock()
+        for _ in range(calls):
+            wrapped()
+        costs.append((clock() - start - bare) / calls)
+    return statistics.median(costs)

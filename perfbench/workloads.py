@@ -43,9 +43,7 @@ class Workload:
     build: Callable[[int, bool], "Panel"]  # (seed, smoke) -> input panel
     change_mode: str = "absolute"
     max_gap_days: int | None = None
-    window_len: int = 90  # track geometry, CLI defaults unless changed
-    step: int = 45
-    min_fill: float = 0.5
+    step: int = 45  # window step; the window length and fill are CLI defaults
 
     def argv(self, input_path: str) -> list[str]:
         args = [self.command, "--input", input_path, "--format", self.fmt]
@@ -53,8 +51,8 @@ class Workload:
             args += ["--change-mode", self.change_mode]
         if self.max_gap_days is not None:
             args += ["--max-gap-days", str(self.max_gap_days)]
-        if (self.window_len, self.step) != (90, 45):
-            args += ["--window-len", str(self.window_len), "--step", str(self.step)]
+        if self.step != 45:
+            args += ["--step", str(self.step)]
         return args
 
     def generate(self, seed: int, smoke: bool = False) -> "Panel":
@@ -153,6 +151,6 @@ WORKLOADS = {
             "analyze_ragged", "analyze", "text", _analyze_ragged,
             change_mode="relative", max_gap_days=4,
         ),
-        Workload("track_dense", "track", "csv", _track_dense, window_len=90, step=5),
+        Workload("track_dense", "track", "csv", _track_dense, step=5),
     )
 }
