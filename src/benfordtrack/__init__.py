@@ -26,7 +26,6 @@ from .stats import (
     kl_divergence,
 )
 from .panel import (
-    Change,
     ChangeSeries,
     PanelFormatError,
     SpreadSeries,
@@ -40,7 +39,6 @@ from .windows import (
     WindowSpec,
     analyze_period,
     named_periods,
-    rolling_windows,
     track,
     window_ranges,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "conformity",
     "critical_value",
     "kl_divergence",
-    "Change",
     "ChangeSeries",
     "PanelFormatError",
     "SpreadSeries",
@@ -97,7 +94,6 @@ __all__ = [
     "WindowSpec",
     "analyze_period",
     "named_periods",
-    "rolling_windows",
     "track",
     "window_ranges",
     "SynthSpec",

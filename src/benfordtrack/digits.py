@@ -23,6 +23,14 @@ DIGITS = tuple(range(1, 10))
 # rounds across the edge.
 _EDGE_HIGH = 9.9999999999
 
+# Python's 10.0 ** k for every decade a nonzero finite double can fall in.
+# np.power(10.0, k) differs from it in the last bit at some k on some
+# hosts, which would make the vectorised quotient disagree with the
+# scalar one; an entry that underflows to zero sends its values to the
+# string path, as in the scalar code.
+_POW10_MIN = -330
+_POW10 = np.array([10.0 ** k for k in range(_POW10_MIN, 309)])
+
 
 def benford_pmf() -> np.ndarray:
     """Reference first-digit probabilities log10(1 + 1/d) for d = 1..9.
@@ -62,6 +70,13 @@ def mantissa_exponent(x: float) -> tuple[float, int]:
 
 def first_significant_digit(x: float) -> int | None:
     """Leading nonzero decimal digit of |x|, or None for exact zero.
+
+    The digit is the integer part of the float quotient
+    |x| / 10.0**floor(log10|x|).  Only when that quotient falls outside
+    [1, 9.9999999999) is it replaced by the mantissa of the
+    12-significant-digit rendering (see mantissa_exponent).  The
+    quotient is rounded, so some short decimals lose a unit: 0.3 gives
+    2 and 0.7 gives 6, while 0.03 gives 3 and 0.07 gives 7.
 
     Raises ValueError for NaN or infinities; they have no digits and
     must be rejected before they reach a histogram.
@@ -103,19 +118,25 @@ def digit_histogram(values: Iterable[float]) -> DigitHistogram:
     """Count first significant digits over `values`.
 
     Zeros are excluded (and counted) rather than binned; non-finite
-    values raise ValueError.
+    values raise ValueError.  Every digit equals first_significant_digit
+    of its value: the quotient is formed with the same power of ten, and
+    values whose quotient leaves [1, 9.9999999999) go through that
+    function itself.
     """
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    counts = [0] * 9
-    excluded = 0
-    for x in values:
-        d = first_significant_digit(x)
-        if d is None:
-            excluded += 1
-        else:
-            counts[d - 1] += 1
-    return DigitHistogram(tuple(counts), excluded)
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    x = np.abs(np.asarray(values, dtype=np.float64))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite value")
+    nonzero = x[x != 0.0]
+    e = np.floor(np.log10(nonzero)).astype(np.intp)
+    with np.errstate(divide="ignore"):
+        m = nonzero / _POW10[e - _POW10_MIN]
+    fast = (m >= 1.0) & (m < _EDGE_HIGH)
+    counts = np.bincount(m[fast].astype(np.intp), minlength=10)
+    for v in nonzero[~fast].tolist():
+        counts[first_significant_digit(v)] += 1
+    return DigitHistogram(tuple(counts[1:].tolist()), len(x) - len(nonzero))
 
 
 def observed_frequencies(h: DigitHistogram) -> np.ndarray:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from datetime import date
 from typing import IO, Iterable
 
+import numpy as np
+
 PANEL_HEADER = "date,entity,tenor,spread_bps"
 
 _CHANGE_MODES = ("absolute", "relative")
@@ -46,37 +48,41 @@ class SpreadSeries:
             prev = when
 
 
-@dataclass(frozen=True)
-class Change:
-    """One derived change: value plus the calendar gap to its predecessor."""
-
-    date: date
-    value: float
-    gap_days: int
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64's day 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChangeSeries:
-    """Date-ordered changes for one (entity, tenor) pair.
+    """Date-ordered changes for one (entity, tenor) pair, stored as columns.
 
+    `dates` (datetime64[D], strictly increasing) dates each change by its
+    later observation, `changes` (float64) holds the change values and
+    `gaps` (int64) the calendar days back to the previous observation.
     `dropped` counts the consecutive-observation pairs discarded at
     derivation time because their calendar gap exceeded the cap.
     """
 
     entity: str
     tenor: str
-    changes: tuple[Change, ...]
+    dates: np.ndarray
+    changes: np.ndarray
+    gaps: np.ndarray
     dropped: int = 0
-
-    def values(self) -> list[float]:
-        return [c.value for c in self.changes]
 
     def slice(self, start: date, end: date) -> "ChangeSeries":
         """Changes dated within [start, end] inclusive, order preserved."""
         if start > end:
             raise ValueError("slice start must not be after its end")
-        kept = tuple(c for c in self.changes if start <= c.date <= end)
-        return ChangeSeries(self.entity, self.tenor, kept, self.dropped)
+        lo = np.searchsorted(self.dates, np.datetime64(start, "D"), side="left")
+        hi = np.searchsorted(self.dates, np.datetime64(end, "D"), side="right")
+        return ChangeSeries(
+            self.entity,
+            self.tenor,
+            self.dates[lo:hi],
+            self.changes[lo:hi],
+            self.gaps[lo:hi],
+            self.dropped,
+        )
 
 
 def _parse_row(line_no: int, line: str) -> tuple[date, str, str, float]:
@@ -171,17 +177,18 @@ def daily_changes(
     obs = series.observations
     if len(obs) < 2:
         raise ValueError("series too short")
-    changes = []
+    days = np.fromiter((when.toordinal() for when, _ in obs), np.int64, len(obs))
+    spreads = np.fromiter((spread for _, spread in obs), np.float64, len(obs))
+    gaps = np.diff(days)
+    deltas = np.diff(spreads)
+    if mode == "relative":
+        deltas /= spreads[:-1]
+    dates = (days[1:] - _EPOCH_ORDINAL).astype("datetime64[D]")
     dropped = 0
-    prev_date, prev_spread = obs[0]
-    for when, spread in obs[1:]:
-        gap = (when - prev_date).days
-        if max_gap_days is not None and gap > max_gap_days:
-            dropped += 1
-        else:
-            delta = spread - prev_spread
-            if mode == "relative":
-                delta /= prev_spread
-            changes.append(Change(when, delta, gap))
-        prev_date, prev_spread = when, spread
-    return ChangeSeries(series.entity, series.tenor, tuple(changes), dropped)
+    if max_gap_days is not None:
+        kept = gaps <= max_gap_days
+        dropped = len(gaps) - int(np.count_nonzero(kept))
+        dates, deltas, gaps = dates[kept], deltas[kept], gaps[kept]
+    for column in (dates, deltas, gaps):
+        column.flags.writeable = False  # slices are views into these
+    return ChangeSeries(series.entity, series.tenor, dates, deltas, gaps, dropped)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digits import DigitHistogram, benford_pmf, observed_frequencies
+from .digits import DigitHistogram, benford_pmf
 
 DEGREES_OF_FREEDOM = 8
 
@@ -50,8 +50,11 @@ def chi_square_statistic(h: DigitHistogram) -> float:
     total = h.total
     if total == 0:
         raise ValueError("empty sample")
-    counts = np.asarray(h.counts, dtype=float)
-    expected = total * benford_pmf()
+    return _chi_square(np.asarray(h.counts, dtype=float), total, benford_pmf())
+
+
+def _chi_square(counts: np.ndarray, total: int, ref: np.ndarray) -> float:
+    expected = total * ref
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
@@ -157,8 +160,10 @@ def _frequency_vector(v) -> np.ndarray:
 
 def chebyshev_distance(p_obs, p_ref) -> float:
     """Maximum absolute componentwise gap between two frequency vectors."""
-    p = _frequency_vector(p_obs)
-    q = _frequency_vector(p_ref)
+    return _chebyshev(_frequency_vector(p_obs), _frequency_vector(p_ref))
+
+
+def _chebyshev(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.max(np.abs(p - q)))
 
 
@@ -173,6 +178,10 @@ def kl_divergence(p_obs, p_ref) -> float:
     q = _frequency_vector(p_ref)
     if np.any(q <= 0.0):
         raise ValueError("reference support violation")
+    return _kl(p, q)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
     mask = p > 0.0
     pm = p[mask]
     return float(np.sum(pm * (np.log(pm) - np.log(q[mask]))))
@@ -184,22 +193,26 @@ def conformity(h: DigitHistogram, alpha: float = 0.05) -> ConformityStats:
     The verdict is "accept" exactly when the p-value is at least alpha,
     which matches thresholding the statistic at critical_value(alpha).
     Samples smaller than SMALL_SAMPLE_MIN are flagged, never dropped.
+    The three measures share one count vector and one reference vector,
+    both valid by construction, so the per-argument checks of
+    chebyshev_distance and kl_divergence are not repeated here.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     total = h.total
     if total == 0:
         raise ValueError("empty sample")
-    stat = chi_square_statistic(h)
-    p = chi_square_pvalue(stat, DEGREES_OF_FREEDOM)
-    freq = observed_frequencies(h)
+    counts = np.asarray(h.counts, dtype=float)
     ref = benford_pmf()
+    stat = _chi_square(counts, total, ref)
+    p = chi_square_pvalue(stat, DEGREES_OF_FREEDOM)
+    freq = counts / total
     return ConformityStats(
         chi_square=stat,
         p_value=p,
         verdict="accept" if p >= alpha else "reject",
-        chebyshev=chebyshev_distance(freq, ref),
-        kl_divergence=kl_divergence(freq, ref),
+        chebyshev=_chebyshev(freq, ref),
+        kl_divergence=_kl(freq, ref),
         sample_size=total,
         small_sample_flag=total < SMALL_SAMPLE_MIN,
     )

@@ -101,19 +101,14 @@ def window_ranges(n: int, spec: WindowSpec) -> list[range]:
     return ranges
 
 
-def rolling_windows(series: ChangeSeries, spec: WindowSpec) -> list[range]:
-    """Window index ranges over the observations of `series`."""
-    return window_ranges(len(series.changes), spec)
-
-
 def analyze_period(
     series: ChangeSeries, period: PeriodSpec, alpha: float = 0.05
 ) -> ConformityStats:
     """Conformity of the changes dated within one period."""
     sliced = series.slice(period.start, period.end)
-    if not sliced.changes:
+    if len(sliced.changes) == 0:
         raise ValueError(f"empty slice for period '{period.label}'")
-    return conformity(digit_histogram(sliced.values()), alpha)
+    return conformity(digit_histogram(sliced.changes), alpha)
 
 
 def track(
@@ -128,10 +123,12 @@ def track(
     raises the empty-sample error.
     """
     results = []
-    for index, r in enumerate(rolling_windows(series, spec), start=1):
-        chunk = series.changes[r.start : r.stop]
-        stats = conformity(digit_histogram([c.value for c in chunk]), alpha)
+    dates = series.dates
+    for index, r in enumerate(window_ranges(len(dates), spec), start=1):
+        stats = conformity(digit_histogram(series.changes[r.start : r.stop]), alpha)
         results.append(
-            WindowResult(index, chunk[0].date, chunk[-1].date, len(chunk), stats)
+            WindowResult(
+                index, dates[r.start].item(), dates[r.stop - 1].item(), len(r), stats
+            )
         )
     return results

@@ -10,7 +10,9 @@ import math
 from datetime import date
 from decimal import Decimal
 
-from benfordtrack import Change, ChangeSeries
+import numpy as np
+
+from benfordtrack import ChangeSeries
 from benfordtrack.synthetic import weekday_dates
 
 
@@ -80,9 +82,8 @@ def enumerate_windows(n, length, step, min_fill):
 
 def make_change_series(values, start=date(2008, 8, 8), entity="X", tenor="5Y"):
     """A ChangeSeries over consecutive weekdays carrying `values`."""
-    dates = weekday_dates(start, len(values) + 1)
-    changes = tuple(
-        Change(dates[i + 1], float(v), (dates[i + 1] - dates[i]).days)
-        for i, v in enumerate(values)
+    dates = np.array(weekday_dates(start, len(values) + 1), dtype="datetime64[D]")
+    gaps = np.diff(dates).astype(np.int64)
+    return ChangeSeries(
+        entity, tenor, dates[1:], np.asarray(values, dtype=np.float64), gaps
     )
-    return ChangeSeries(entity, tenor, changes)

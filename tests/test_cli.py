@@ -1,11 +1,22 @@
 """End-to-end command-line behaviour: exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
-from benfordtrack import parse_panel
+from benfordtrack import (
+    SpreadSeries,
+    SynthSpec,
+    WindowSpec,
+    daily_changes,
+    digit_histogram,
+    parse_panel,
+    serialize_panel,
+    synth_panel,
+    window_ranges,
+)
 from benfordtrack.cli import main
 
 
@@ -302,3 +313,63 @@ def test_outputs_are_deterministic(tmp_path, capsys):
         assert code == 0
         outputs.append(out_file.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# -------------------------------------------------------- byte identity
+
+GOLDEN_ANALYZE = ["analyze", "--max-gap-days", "4", "--change-mode", "relative"]
+GOLDEN_TRACK = ["track", "--max-gap-days", "4", "--window-len", "30", "--step", "15"]
+
+# sha256 of each output, recorded from the scalar, object-per-change
+# implementation; a faster path has to reproduce every byte
+GOLDEN_SHA256 = {
+    ("analyze", "text"):
+        "6bc27d8ae8f6c802166106d4826dfc631fbf3ce0cfc038621dfb2796966f60fd",
+    ("analyze", "csv"):
+        "81a32c4f7a0876006ec75bc32061f9327f669e45188515133bc23640a1452d87",
+    ("analyze", "json"):
+        "abc8639bb440a3fcfbfc665f33d8b3b8383be09ab9eab0e6c3e2f29bc6c6f412",
+    ("track", "text"):
+        "13fdb75ddc8037cd6f327c277992ee5e682c8705a34bd90dea3bafddc1b36887",
+    ("track", "csv"):
+        "26dcf85f4b16190f36e9d6683eb7fbbcda7e0331dbd1c43025a6455c3aa11279",
+    ("track", "json"):
+        "298c03066b38f9b745ab32b5074b680ea036bd6dcb0abeea8d2d142d85b8ba8e",
+}
+
+
+def _golden_panel():
+    """A seeded Benford series with two exact zero changes and one quote
+    gap past the 4-day cap, plus a constant series whose windows carry a
+    single digit."""
+    base = synth_panel(SynthSpec("benford", 160, 5), entity="AA", tenor="5Y")
+    obs = list(base.observations)
+    for i in (30, 31):
+        obs[i] = (obs[i][0], obs[i - 1][1])
+    del obs[60:64]
+    flat = synth_panel(SynthSpec("constant", 120, 0), entity="BB", tenor="1Y")
+    return [SpreadSeries("AA", "5Y", tuple(obs)), flat]
+
+
+def test_golden_panel_covers_the_edge_cases():
+    aa, bb = (daily_changes(s, max_gap_days=4) for s in _golden_panel())
+    assert digit_histogram(aa.changes).excluded == 2
+    assert aa.dropped == 1
+    spec = WindowSpec(length=30, step=15)
+    for series in (aa, bb):
+        counts = [
+            digit_histogram(series.changes[r.start : r.stop]).counts
+            for r in window_ranges(len(series.changes), spec)
+        ]
+        assert any(0 in c for c in counts)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", [GOLDEN_ANALYZE, GOLDEN_TRACK], ids=lambda a: a[0])
+def test_outputs_match_recorded_bytes(argv, fmt, tmp_path):
+    panel = tmp_path / "golden.csv"
+    panel.write_text(serialize_panel(_golden_panel()), encoding="utf-8")
+    out = tmp_path / f"out.{fmt}"
+    assert main([*argv, "--input", str(panel), "--format", fmt, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[(argv[0], fmt)]

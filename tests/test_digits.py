@@ -16,6 +16,7 @@ from benfordtrack import (
     mantissa_exponent,
     observed_frequencies,
 )
+from benfordtrack.digits import DIGITS
 from helpers import string_histogram
 
 # three-decimal reference frequencies for digits 1..9
@@ -62,6 +63,15 @@ def test_pmf_returns_fresh_array():
         (999.9999999999, 1),
         (1000.0, 1),
         (0.001, 1),
+        # short decimals whose rounded quotient |x| / 10**e drops below
+        # the next digit: neither the exact expansion nor the 12-digit
+        # rendering agrees on all six, so the rule is pinned as it stands
+        (0.3, 2),
+        (0.03, 3),
+        (0.6, 5),
+        (0.06, 6),
+        (0.7, 6),
+        (0.07, 7),
     ],
 )
 def test_first_digit_examples(x, digit):
@@ -183,6 +193,39 @@ def test_histogram_totals_add_up(values):
     h = digit_histogram(values)
     assert h.total + h.excluded == len(values)
     assert h.total == sum(h.counts)
+
+
+def _scalar_rule_probes():
+    values = []
+    for e in range(-323, 309):
+        for d in DIGITS:
+            x = float(f"{d}e{e}")
+            if math.isfinite(x):
+                values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    # subnormals: random bit patterns below the smallest normal, and the
+    # largest and smallest subnormal themselves
+    bits = np.random.Generator(np.random.PCG64(11)).integers(1, 2**52, 3000)
+    values += bits.astype(np.uint64).view(np.float64).tolist()
+    values += [5e-324, 2.225073858507201e-308]
+    values += [-v for v in values]
+    return values + [0.0, -0.0]
+
+
+def test_histogram_equals_the_scalar_digit_of_every_value():
+    # grouping by the scalar digit makes any single disagreement show
+    # up as a count outside the group's own bin
+    groups = {}
+    for v in _scalar_rule_probes():
+        groups.setdefault(first_significant_digit(v), []).append(v)
+    assert set(groups) == {None, *DIGITS}
+    for digit, group in groups.items():
+        for values in (group, np.array(group)):
+            h = digit_histogram(values)
+            if digit is None:
+                assert (h.counts, h.excluded) == ((0,) * 9, len(group))
+            else:
+                want = tuple(len(group) if d == digit else 0 for d in DIGITS)
+                assert (h.counts, h.excluded) == (want, 0)
 
 
 def test_histogram_validation():

@@ -4,12 +4,12 @@ import io
 import math
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from benfordtrack import (
-    Change,
     ChangeSeries,
     PanelFormatError,
     SpreadSeries,
@@ -118,15 +118,23 @@ def test_daily_changes_values_and_gaps():
         ]
     )
     ch = daily_changes(s)
-    assert [c.value for c in ch.changes] == [1.5, 0.0]
-    assert [c.gap_days for c in ch.changes] == [1, 3]
+    assert ch.dates.tolist() == [date(2010, 1, 5), date(2010, 1, 8)]
+    assert ch.changes.tolist() == [1.5, 0.0]
+    assert ch.gaps.tolist() == [1, 3]
     assert ch.dropped == 0
+    assert (ch.dates.dtype, ch.changes.dtype, ch.gaps.dtype) == (
+        np.dtype("datetime64[D]"),
+        np.dtype(np.float64),
+        np.dtype(np.int64),
+    )
+    with pytest.raises(ValueError, match="read-only"):
+        ch.slice(date(2010, 1, 5), date(2010, 1, 5)).changes[0] = 9.0
 
 
 def test_daily_changes_relative_mode():
     s = _series([(date(2010, 1, 4), 100.0), (date(2010, 1, 5), 110.0)])
     ch = daily_changes(s, mode="relative")
-    assert ch.changes[0].value == pytest.approx(0.1)
+    assert ch.changes[0] == pytest.approx(0.1)
 
 
 def test_daily_changes_gap_cap_drops_without_bridging():
@@ -138,7 +146,7 @@ def test_daily_changes_gap_cap_drops_without_bridging():
         ]
     )
     ch = daily_changes(s, max_gap_days=7)
-    assert [c.value for c in ch.changes] == [2.0]
+    assert ch.changes.tolist() == [2.0]
     assert ch.dropped == 1
     assert len(ch.changes) + ch.dropped == len(s.observations) - 1
 
@@ -146,7 +154,7 @@ def test_daily_changes_gap_cap_drops_without_bridging():
 def test_daily_changes_default_keeps_every_gap():
     s = _series([(date(2010, 1, 1), 10.0), (date(2011, 6, 1), 20.0)])
     ch = daily_changes(s)
-    assert ch.changes[0].gap_days == (date(2011, 6, 1) - date(2010, 1, 1)).days
+    assert ch.gaps[0] == (date(2011, 6, 1) - date(2010, 1, 1)).days
 
 
 def test_daily_changes_validation():
@@ -181,16 +189,28 @@ def test_daily_changes_match_pairwise_oracle(offsets, spreads, cap):
             dropped += 1
         else:
             expected.append((d1, s1 - s0, gap))
-    assert [(c.date, c.value, c.gap_days) for c in ch.changes] == expected
+    got = zip(ch.dates.tolist(), ch.changes.tolist(), ch.gaps.tolist())
+    assert list(got) == expected
     assert ch.dropped == dropped
     assert len(ch.changes) + ch.dropped == len(obs) - 1
 
 
 # --------------------------------------------------------------- slicing
 
-def _change_series(day_values):
-    changes = tuple(Change(d, v, 1) for d, v in day_values)
-    return ChangeSeries("X", "5Y", changes)
+def _change_series(day_values, entity="X", tenor="5Y", dropped=0):
+    days, values = zip(*day_values)
+    return ChangeSeries(
+        entity,
+        tenor,
+        np.array(days, dtype="datetime64[D]"),
+        np.array(values, dtype=np.float64),
+        np.ones(len(days), dtype=np.int64),
+        dropped,
+    )
+
+
+def _columns(s):
+    return s.dates.tolist(), s.changes.tolist(), s.gaps.tolist()
 
 
 def test_slice_bounds_are_inclusive():
@@ -202,12 +222,13 @@ def test_slice_bounds_are_inclusive():
         ]
     )
     cut = s.slice(date(2010, 1, 1), date(2010, 1, 2))
-    assert [c.value for c in cut.changes] == [1.0, 2.0]
+    assert cut.changes.tolist() == [1.0, 2.0]
+    assert cut.dates.tolist() == [date(2010, 1, 1), date(2010, 1, 2)]
 
 
 def test_slice_can_be_empty():
     s = _change_series([(date(2010, 1, 1), 1.0)])
-    assert s.slice(date(2011, 1, 1), date(2011, 2, 1)).changes == ()
+    assert _columns(s.slice(date(2011, 1, 1), date(2011, 2, 1))) == ([], [], [])
 
 
 def test_slice_rejects_reversed_bounds():
@@ -217,19 +238,18 @@ def test_slice_rejects_reversed_bounds():
 
 
 def test_slice_is_idempotent_and_keeps_metadata():
-    s = ChangeSeries(
-        "E",
-        "10Y",
-        tuple(
-            Change(date(2010, 1, 1) + timedelta(days=i), float(i + 1), 1)
-            for i in range(10)
-        ),
+    s = _change_series(
+        [(date(2010, 1, 1) + timedelta(days=i), float(i + 1)) for i in range(10)],
+        entity="E",
+        tenor="10Y",
         dropped=2,
     )
     lo, hi = date(2010, 1, 3), date(2010, 1, 7)
     once = s.slice(lo, hi)
-    assert once.slice(lo, hi) == once
-    assert once.entity == "E" and once.tenor == "10Y" and once.dropped == 2
+    twice = once.slice(lo, hi)
+    assert _columns(twice) == _columns(once)
+    for cut in (once, twice):
+        assert cut.entity == "E" and cut.tenor == "10Y" and cut.dropped == 2
 
 
 def test_adjacent_slices_concatenate_to_the_union():
@@ -239,4 +259,5 @@ def test_adjacent_slices_concatenate_to_the_union():
     left = s.slice(days[0], mid)
     right = s.slice(mid + timedelta(days=1), days[-1])
     whole = s.slice(days[0], days[-1])
-    assert left.changes + right.changes == whole.changes
+    joined = [a + b for a, b in zip(_columns(left), _columns(right))]
+    assert joined == list(_columns(whole))

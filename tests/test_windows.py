@@ -3,6 +3,7 @@
 import math
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,22 +173,16 @@ def test_window_ranges_partition_when_step_equals_length():
     assert flat == list(range(107))
 
 
-def test_rolling_windows_delegate_to_series_length():
-    from benfordtrack import rolling_windows
-
-    series = make_change_series(list(gen_benford(200, seed=1)))
-    assert rolling_windows(series, WindowSpec()) == window_ranges(200, WindowSpec())
-
-
 # -------------------------------------------------------- period slicing
 
 def test_analyze_period_slices_by_date():
     series = make_change_series(list(gen_benford(300, seed=3)))
-    mid = series.changes[150].date
-    period = PeriodSpec("head", series.changes[0].date, mid)
+    dates = series.dates.tolist()
+    mid = dates[150]
+    period = PeriodSpec("head", dates[0], mid)
     stats = analyze_period(series, period)
     manual = conformity(
-        digit_histogram([c.value for c in series.changes if c.date <= mid])
+        digit_histogram([v for d, v in zip(dates, series.changes) if d <= mid])
     )
     assert stats == manual
 
@@ -206,11 +201,11 @@ def test_sub_periods_concatenate_to_post2010():
     crisis = series.slice(periods["crisis"].start, periods["crisis"].end)
     post = series.slice(periods["post_crisis"].start, periods["post_crisis"].end)
     both = series.slice(periods["post2010"].start, periods["post2010"].end)
-    assert crisis.changes + post.changes == both.changes
+    for column in ("dates", "changes", "gaps"):
+        joined = np.concatenate([getattr(crisis, column), getattr(post, column)])
+        assert np.array_equal(joined, getattr(both, column))
     merged = conformity(
-        digit_histogram(
-            [c.value for c in crisis.changes] + [c.value for c in post.changes]
-        )
+        digit_histogram(list(crisis.changes) + list(post.changes))
     )
     assert analyze_period(series, periods["post2010"]) == merged
 
@@ -223,8 +218,8 @@ def test_track_reference_panel_geometry():
     assert len(results) == 38
     assert [w.index for w in results] == list(range(1, 39))
     assert [w.sample_size for w in results] == [90] * 37 + [85]
-    assert results[0].start_date == series.changes[0].date
-    assert results[-1].end_date == series.changes[-1].date
+    assert results[0].start_date == series.dates[0].item()
+    assert results[-1].end_date == series.dates[-1].item()
     for prev, cur in zip(results, results[1:]):
         assert prev.start_date < cur.start_date
 
@@ -238,8 +233,8 @@ def test_track_windows_match_direct_conformity():
         chunk = values[r.start : r.stop]
         direct = conformity(digit_histogram(chunk))
         assert w.stats == direct
-        assert w.start_date == series.changes[r.start].date
-        assert w.end_date == series.changes[r.stop - 1].date
+        assert w.start_date == series.dates[r.start].item()
+        assert w.end_date == series.dates[r.stop - 1].item()
         assert w.sample_size == len(chunk)
 
 
@@ -249,7 +244,7 @@ def test_track_window_dates_come_from_the_data():
     assert len(results) == 2
     assert results[0].sample_size == 90
     assert results[1].sample_size == 45
-    assert results[1].start_date == series.changes[45].date
+    assert results[1].start_date == series.dates[45].item()
 
 
 def test_track_constant_series_rejects_every_window():
