@@ -11,8 +11,6 @@ from .digits import (
     benford_pmf,
     digit_histogram,
     first_significant_digit,
-    mantissa_exponent,
-    observed_frequencies,
 )
 from .stats import (
     DEGREES_OF_FREEDOM,
@@ -45,12 +43,7 @@ from .windows import (
 from .synthetic import (
     SynthSpec,
     gen_benford,
-    gen_constant,
-    gen_uniform_digit,
-    generate,
-    inject_manipulation,
     synth_panel,
-    weekday_dates,
 )
 from .reporting import (
     PeriodReport,
@@ -62,7 +55,6 @@ from .reporting import (
     build_track_report,
     emit,
     fit_trend,
-    roman,
 )
 
 __version__ = "0.1.0"
@@ -72,8 +64,6 @@ __all__ = [
     "benford_pmf",
     "digit_histogram",
     "first_significant_digit",
-    "mantissa_exponent",
-    "observed_frequencies",
     "DEGREES_OF_FREEDOM",
     "SMALL_SAMPLE_MIN",
     "ConformityStats",
@@ -98,12 +88,7 @@ __all__ = [
     "window_ranges",
     "SynthSpec",
     "gen_benford",
-    "gen_constant",
-    "gen_uniform_digit",
-    "generate",
-    "inject_manipulation",
     "synth_panel",
-    "weekday_dates",
     "PeriodReport",
     "PeriodRow",
     "TrackReport",
@@ -113,6 +98,5 @@ __all__ = [
     "build_track_report",
     "emit",
     "fit_trend",
-    "roman",
     "__version__",
 ]

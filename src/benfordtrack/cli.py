@@ -5,12 +5,14 @@ first-digit law over date ranges, `track` follows conformity through
 rolling windows, and `synth` writes synthetic panels with a controlled
 digit distribution.  Exit codes: 0 on success, 1 for usage or
 configuration errors (reported before any input is read), 2 for data
-errors such as parse failures or series too short to analyze.
+errors such as parse failures or series too short to analyze, and 141
+(128 + SIGPIPE) when the reader of standard output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import date
 
@@ -82,7 +84,7 @@ def _build_parser() -> _Parser:
         "--period", action="append", choices=_PERIOD_LABELS, default=None,
         help="named period to test (repeatable; default all five)",
     )
-    analyze.set_defaults(handler=_cmd_analyze)
+    analyze.set_defaults(handler=_run_report, prepare=_prepare_analyze)
 
     track_cmd = subs.add_parser(
         "track",
@@ -101,7 +103,7 @@ def _build_parser() -> _Parser:
         "--min-fill", type=float, default=0.5,
         help="minimum trailing window fill as a fraction of --window-len",
     )
-    track_cmd.set_defaults(handler=_cmd_track)
+    track_cmd.set_defaults(handler=_run_report, prepare=_prepare_track)
 
     synth = subs.add_parser(
         "synth",
@@ -141,18 +143,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_alpha(parser: _Parser, alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        parser.error("alpha must lie in (0, 1)")
-
-
-def _check_range(parser: _Parser, args) -> None:
-    if (args.date_from is None) != (args.date_to is None):
-        parser.error("--from and --to must be given together")
-    if args.date_from is not None and args.date_from > args.date_to:
-        parser.error("--from must not be after --to")
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -163,9 +153,17 @@ def _read_input(path: str) -> str:
 def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _closed_pipe() -> int:
+    # the reader is gone: drop what is still buffered and exit quietly with
+    # 128 + SIGPIPE, as a tool killed by the signal would
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 141
 
 
 def _load_changes(args):
@@ -178,18 +176,43 @@ def _load_changes(args):
     ]
 
 
-def _common_parameters(args) -> dict:
-    return {
-        "alpha": args.alpha,
-        "change_mode": args.change_mode,
-        "max_gap_days": args.max_gap_days,
-        "tenor": sorted(args.tenor) if args.tenor else None,
+def _run_report(parser: _Parser, args) -> int:
+    """Shared path of `analyze` and `track`: validate, build, emit, map errors.
+
+    `args.prepare` checks the command's own flags and returns its meta
+    parameters and a function that builds the report from the changes.
+    """
+    if not 0.0 < args.alpha < 1.0:
+        parser.error("alpha must lie in (0, 1)")
+    if (args.date_from is None) != (args.date_to is None):
+        parser.error("--from and --to must be given together")
+    if args.date_from is not None and args.date_from > args.date_to:
+        parser.error("--from must not be after --to")
+    parameters, build = args.prepare(parser, args)
+    meta = {
+        "tool": "benfordtrack",
+        "version": __version__,
+        "command": args.command,
+        "parameters": {
+            "alpha": args.alpha,
+            "change_mode": args.change_mode,
+            "max_gap_days": args.max_gap_days,
+            "tenor": sorted(args.tenor) if args.tenor else None,
+            **parameters,
+        },
     }
+    try:
+        report = build(_load_changes(args), meta)
+        _write_output(args.out, emit(report, args.format))
+    except BrokenPipeError:
+        return _closed_pipe()
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
-def _cmd_analyze(parser: _Parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    _check_range(parser, args)
+def _prepare_analyze(parser: _Parser, args):
     if args.period and args.date_from is not None:
         parser.error("--period cannot be combined with --from/--to")
     if args.date_from is not None:
@@ -197,57 +220,33 @@ def _cmd_analyze(parser: _Parser, args) -> int:
     else:
         wanted = args.period or list(_PERIOD_LABELS)
         periods = [p for p in named_periods() if p.label in wanted]
-    meta = {
-        "tool": "benfordtrack",
-        "version": __version__,
-        "command": "analyze",
-        "parameters": {
-            **_common_parameters(args),
-            "periods": {
-                p.label: [p.start.isoformat(), p.end.isoformat()] for p in periods
-            },
-        },
+    parameters = {
+        "periods": {p.label: [p.start.isoformat(), p.end.isoformat()] for p in periods},
     }
-    try:
-        changes = _load_changes(args)
-        report = build_period_report(changes, periods, args.alpha, meta=meta)
-        _write_output(args.out, emit(report, args.format))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return parameters, lambda changes, meta: build_period_report(
+        changes, periods, args.alpha, meta=meta
+    )
 
 
-def _cmd_track(parser: _Parser, args) -> int:
-    _check_alpha(parser, args.alpha)
-    _check_range(parser, args)
+def _prepare_track(parser: _Parser, args):
     try:
         spec = WindowSpec(args.window_len, args.step, args.min_fill)
     except ValueError as exc:
         parser.error(str(exc))
-    meta = {
-        "tool": "benfordtrack",
-        "version": __version__,
-        "command": "track",
-        "parameters": {
-            **_common_parameters(args),
-            "window_length": spec.length,
-            "step": spec.step,
-            "min_fill": spec.min_fill,
-            "from": args.date_from.isoformat() if args.date_from else None,
-            "to": args.date_to.isoformat() if args.date_to else None,
-        },
+    parameters = {
+        "window_length": spec.length,
+        "step": spec.step,
+        "min_fill": spec.min_fill,
+        "from": args.date_from.isoformat() if args.date_from else None,
+        "to": args.date_to.isoformat() if args.date_to else None,
     }
-    try:
-        changes = _load_changes(args)
+
+    def build(changes, meta):
         if args.date_from is not None:
             changes = [s.slice(args.date_from, args.date_to) for s in changes]
-        report = build_track_report(changes, spec, args.alpha, meta=meta)
-        _write_output(args.out, emit(report, args.format))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return build_track_report(changes, spec, args.alpha, meta=meta)
+
+    return parameters, build
 
 
 def _cmd_synth(parser: _Parser, args) -> int:
@@ -273,6 +272,8 @@ def _cmd_synth(parser: _Parser, args) -> int:
         parser.error(str(exc))
     try:
         _write_output(args.out, serialize_panel([series]))
+    except BrokenPipeError:
+        return _closed_pipe()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

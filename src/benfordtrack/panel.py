@@ -124,7 +124,9 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
     if not lines:
         raise PanelFormatError(1, "missing header")
     if lines[0] != PANEL_HEADER:
-        raise PanelFormatError(1, f"header must be exactly {PANEL_HEADER!r}")
+        bom = "header starts with a UTF-8 byte-order mark; "
+        prefix = bom if lines[0].startswith("\ufeff") else ""
+        raise PanelFormatError(1, f"{prefix}header must be exactly {PANEL_HEADER!r}")
     groups: dict[tuple[str, str], dict[date, float]] = {}
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()

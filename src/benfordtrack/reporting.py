@@ -1,26 +1,41 @@
 """Report assembly and emission as aligned text, CSV or JSON.
 
+Each report has one output schema: the ordered column tuple
+`PERIOD_COLUMNS` or `TRACK_COLUMNS`.  A row function turns each report
+row into Python scalars in that column order, and one generic renderer
+per format turns those scalars into cells by value type: the text table
+shows floats with four decimals, `-` for a missing value and Roman
+window labels; CSV carries floats at full precision via repr and leaves
+a missing value empty; JSON takes the values as they are.  Only the
+trend block of a track report is rendered apart from the rows.
+
 Emission is deterministic: rows are ordered by entity, tenor and then
-period position or window index, machine formats carry full float
-precision via repr, and the JSON document is canonical (sorted keys,
-fixed indentation), so identical reports always serialize to identical
-bytes.
+period position or window index, and the JSON document is canonical
+(sorted keys, fixed indentation), so identical reports always serialize
+to identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .panel import ChangeSeries
 from .stats import ConformityStats
 from .windows import PeriodSpec, WindowResult, WindowSpec, analyze_period, track
 
-PERIOD_CSV_HEADER = "entity,tenor,period,chi2,p_value,verdict,n,small_sample"
-TRACK_CSV_HEADER = "entity,tenor,window,start_date,end_date,n,chi2,p_value,chebyshev,kl"
+PERIOD_COLUMNS = (
+    "entity", "tenor", "period", "chi2", "p_value", "verdict", "n", "small_sample",
+)
+TRACK_COLUMNS = (
+    "entity", "tenor", "window", "start_date", "end_date", "n",
+    "chi2", "p_value", "chebyshev", "kl",
+)
 
-TREND_METRICS = ("chi2", "chebyshev", "kl")
+# trend metric -> the ConformityStats field it reads
+_TREND_FIELDS = {"chi2": "chi_square", "chebyshev": "chebyshev", "kl": "kl_divergence"}
+TREND_METRICS = tuple(_TREND_FIELDS)
 
 _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"),
@@ -82,16 +97,6 @@ class TrackReport:
     meta: Mapping
 
 
-def _metric_value(stats: ConformityStats, metric: str) -> float:
-    if metric == "chi2":
-        return stats.chi_square
-    if metric == "chebyshev":
-        return stats.chebyshev
-    if metric == "kl":
-        return stats.kl_divergence
-    raise ValueError(f"metric must be one of {TREND_METRICS}")
-
-
 def fit_trend(results: Sequence[WindowResult], metric: str) -> TrendFit:
     """Ordinary least squares of a window metric on the window index.
 
@@ -100,7 +105,9 @@ def fit_trend(results: Sequence[WindowResult], metric: str) -> TrendFit:
     """
     if len(results) < 2:
         raise ValueError("insufficient windows for trend")
-    y = [_metric_value(r.stats, metric) for r in results]
+    if metric not in _TREND_FIELDS:
+        raise ValueError(f"metric must be one of {TREND_METRICS}")
+    y = [getattr(r.stats, _TREND_FIELDS[metric]) for r in results]
     x = [float(r.index) for r in results]
     n = len(x)
     x_mean = sum(x) / n
@@ -118,18 +125,14 @@ def fit_trend(results: Sequence[WindowResult], metric: str) -> TrendFit:
     return TrendFit(metric, slope, intercept, r_squared)
 
 
-def _select(
-    series: Iterable[ChangeSeries], tenors: Collection[str] | None
-) -> list[ChangeSeries]:
-    kept = [s for s in series if tenors is None or s.tenor in tenors]
-    return sorted(kept, key=lambda s: (s.entity, s.tenor))
+def _by_key(series: Iterable[ChangeSeries]) -> list[ChangeSeries]:
+    return sorted(series, key=lambda s: (s.entity, s.tenor))
 
 
 def build_period_report(
     series: Iterable[ChangeSeries],
     periods: Sequence[PeriodSpec],
     alpha: float = 0.05,
-    tenors: Collection[str] | None = None,
     meta: Mapping | None = None,
 ) -> PeriodReport:
     """One row per (entity, tenor, period), periods kept in given order.
@@ -138,7 +141,7 @@ def build_period_report(
     zero changes) becomes an annotated row instead of an error.
     """
     rows = []
-    for s in _select(series, tenors):
+    for s in _by_key(series):
         for period in periods:
             try:
                 stats = analyze_period(s, period, alpha)
@@ -152,7 +155,6 @@ def build_track_report(
     series: Iterable[ChangeSeries],
     spec: WindowSpec = WindowSpec(),
     alpha: float = 0.05,
-    tenors: Collection[str] | None = None,
     meta: Mapping | None = None,
 ) -> TrackReport:
     """Rolling-window rows plus per-series trend fits for every metric.
@@ -162,7 +164,7 @@ def build_track_report(
     """
     rows = []
     trends = []
-    for s in _select(series, tenors):
+    for s in _by_key(series):
         results = track(s, spec, alpha)
         rows.extend(TrackRow(s.entity, s.tenor, r) for r in results)
         if len(results) >= 2:
@@ -171,157 +173,63 @@ def build_track_report(
     return TrackReport(tuple(rows), tuple(trends), dict(meta or {}))
 
 
-def _table(header: list[str], body: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in body:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in [header] + body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _period_cells(row: PeriodRow) -> list[str]:
-    if row.error is not None:
-        return [row.entity, row.tenor, row.period, "-", "-", row.error, "-", "-"]
+def _period_values(row: PeriodRow) -> tuple:
+    """A period row in `PERIOD_COLUMNS` order; a failed cell's error is its verdict."""
     s = row.stats
-    return [
-        row.entity,
-        row.tenor,
-        row.period,
-        f"{s.chi_square:.4f}",
-        f"{s.p_value:.4f}",
-        s.verdict,
-        str(s.sample_size),
-        str(s.small_sample_flag).lower(),
-    ]
+    if s is None:
+        return (row.entity, row.tenor, row.period, None, None, row.error, None, None)
+    return (
+        row.entity, row.tenor, row.period, s.chi_square, s.p_value, s.verdict,
+        s.sample_size, s.small_sample_flag,
+    )
 
 
-def _emit_period_text(report: PeriodReport) -> str:
-    header = PERIOD_CSV_HEADER.split(",")
-    return _table(header, [_period_cells(r) for r in report.rows])
-
-
-def _emit_period_csv(report: PeriodReport) -> str:
-    lines = [PERIOD_CSV_HEADER]
-    for row in report.rows:
-        if row.error is not None:
-            lines.append(f"{row.entity},{row.tenor},{row.period},,,{row.error},,")
-        else:
-            s = row.stats
-            lines.append(
-                f"{row.entity},{row.tenor},{row.period},{s.chi_square!r},"
-                f"{s.p_value!r},{s.verdict},{s.sample_size},"
-                f"{str(s.small_sample_flag).lower()}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _period_doc(report: PeriodReport) -> dict:
-    rows = []
-    for row in report.rows:
-        if row.error is not None:
-            rows.append(
-                {
-                    "entity": row.entity,
-                    "tenor": row.tenor,
-                    "period": row.period,
-                    "chi2": None,
-                    "p_value": None,
-                    "verdict": row.error,
-                    "n": None,
-                    "small_sample": None,
-                }
-            )
-        else:
-            s = row.stats
-            rows.append(
-                {
-                    "entity": row.entity,
-                    "tenor": row.tenor,
-                    "period": row.period,
-                    "chi2": s.chi_square,
-                    "p_value": s.p_value,
-                    "verdict": s.verdict,
-                    "n": s.sample_size,
-                    "small_sample": s.small_sample_flag,
-                }
-            )
-    return {"meta": dict(report.meta), "rows": rows}
-
-
-def _track_cells(row: TrackRow) -> list[str]:
+def _track_values(row: TrackRow) -> tuple:
+    """A track row in `TRACK_COLUMNS` order."""
     r = row.result
     s = r.stats
-    return [
-        row.entity,
-        row.tenor,
-        roman(r.index),
-        r.start_date.isoformat(),
-        r.end_date.isoformat(),
-        str(s.sample_size),
-        f"{s.chi_square:.4f}",
-        f"{s.p_value:.4f}",
-        f"{s.chebyshev:.4f}",
-        f"{s.kl_divergence:.4f}",
-    ]
+    return (
+        row.entity, row.tenor, r.index, r.start_date.isoformat(),
+        r.end_date.isoformat(), s.sample_size,
+        s.chi_square, s.p_value, s.chebyshev, s.kl_divergence,
+    )
 
 
-def _emit_track_text(report: TrackReport) -> str:
-    header = TRACK_CSV_HEADER.split(",")
-    out = _table(header, [_track_cells(r) for r in report.rows])
-    if report.trends:
-        lines = ["", "trends:"]
-        for entity, tenor, fit in report.trends:
-            lines.append(
-                f"{entity}  {tenor}  {fit.metric}  slope={fit.slope:.4f}  "
-                f"intercept={fit.intercept:.4f}  r_squared={fit.r_squared:.4f}"
-            )
-        out += "\n".join(lines) + "\n"
-    return out
+# cell formatting by value type; any other type renders with str
+_CSV_CELL = {
+    type(None): lambda v: "",
+    bool: lambda v: "true" if v else "false",
+    float: repr,
+}
+_TEXT_CELL = {**_CSV_CELL, type(None): lambda v: "-", float: "{:.4f}".format}
 
 
-def _emit_track_csv(report: TrackReport) -> str:
-    lines = [TRACK_CSV_HEADER]
-    for row in report.rows:
-        r = row.result
-        s = r.stats
-        lines.append(
-            f"{row.entity},{row.tenor},{r.index},{r.start_date.isoformat()},"
-            f"{r.end_date.isoformat()},{s.sample_size},{s.chi_square!r},"
-            f"{s.p_value!r},{s.chebyshev!r},{s.kl_divergence!r}"
-        )
+def _cells(values: Sequence, formats: Mapping) -> list[str]:
+    """The cells of one column, each value formatted by its type."""
+    return [formats.get(type(v), str)(v) for v in values]
+
+
+def _by_column(columns: Sequence[str], rows: list[tuple]):
+    return zip(columns, list(zip(*rows)) or [()] * len(columns))
+
+
+def _render_text(columns: Sequence[str], rows: list[tuple]) -> str:
+    padded = []
+    for name, values in _by_column(columns, rows):
+        if name == "window":
+            cells = list(map(roman, values))
+        else:
+            cells = _cells(values, _TEXT_CELL)
+        width = max([len(name), *map(len, cells)])
+        padded.append([cell.ljust(width) for cell in (name, *cells)])
+    lines = ["  ".join(cells).rstrip() for cells in zip(*padded)]
     return "\n".join(lines) + "\n"
 
 
-def _track_doc(report: TrackReport) -> dict:
-    rows = []
-    for row in report.rows:
-        r = row.result
-        s = r.stats
-        rows.append(
-            {
-                "entity": row.entity,
-                "tenor": row.tenor,
-                "window": r.index,
-                "start_date": r.start_date.isoformat(),
-                "end_date": r.end_date.isoformat(),
-                "n": s.sample_size,
-                "chi2": s.chi_square,
-                "p_value": s.p_value,
-                "chebyshev": s.chebyshev,
-                "kl": s.kl_divergence,
-            }
-        )
-    trends: dict = {}
-    for entity, tenor, fit in report.trends:
-        trends.setdefault(entity, {}).setdefault(tenor, {})[fit.metric] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-        }
-    return {"meta": dict(report.meta), "rows": rows, "trends": trends}
+def _render_csv(columns: Sequence[str], rows: list[tuple]) -> str:
+    cells = [_cells(values, _CSV_CELL) for _, values in _by_column(columns, rows)]
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
+    return "\n".join(lines) + "\n"
 
 
 def canonical_json(doc) -> str:
@@ -329,22 +237,46 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _render_json(
+    columns: Sequence[str], rows: list[tuple], meta: Mapping, trends
+) -> str:
+    doc = {"meta": dict(meta), "rows": [dict(zip(columns, row)) for row in rows]}
+    if trends is not None:
+        doc["trends"] = {}
+        for entity, tenor, fit in trends:
+            doc["trends"].setdefault(entity, {}).setdefault(tenor, {})[fit.metric] = {
+                "slope": fit.slope,
+                "intercept": fit.intercept,
+                "r_squared": fit.r_squared,
+            }
+    return canonical_json(doc)
+
+
+def _trend_lines(trends) -> str:
+    if not trends:
+        return ""
+    lines = ["", "trends:"]
+    lines.extend(
+        f"{entity}  {tenor}  {fit.metric}  slope={fit.slope:.4f}  "
+        f"intercept={fit.intercept:.4f}  r_squared={fit.r_squared:.4f}"
+        for entity, tenor, fit in trends
+    )
+    return "\n".join(lines) + "\n"
+
+
 def emit(report: PeriodReport | TrackReport, fmt: str = "text") -> str:
     """Serialize a report as "text", "csv" or "json"."""
     if isinstance(report, PeriodReport):
-        if fmt == "text":
-            return _emit_period_text(report)
-        if fmt == "csv":
-            return _emit_period_csv(report)
-        if fmt == "json":
-            return canonical_json(_period_doc(report))
+        columns, values, trends = PERIOD_COLUMNS, _period_values, None
     elif isinstance(report, TrackReport):
-        if fmt == "text":
-            return _emit_track_text(report)
-        if fmt == "csv":
-            return _emit_track_csv(report)
-        if fmt == "json":
-            return canonical_json(_track_doc(report))
+        columns, values, trends = TRACK_COLUMNS, _track_values, report.trends
     else:
         raise TypeError("report must be a PeriodReport or TrackReport")
+    rows = [values(row) for row in report.rows]
+    if fmt == "text":
+        return _render_text(columns, rows) + _trend_lines(trends)
+    if fmt == "csv":
+        return _render_csv(columns, rows)
+    if fmt == "json":
+        return _render_json(columns, rows, report.meta, trends)
     raise ValueError('format must be one of "text", "csv", "json"')

@@ -7,11 +7,13 @@ enumeration.
 """
 
 import math
+import os
 from datetime import date
 from decimal import Decimal
 
 import numpy as np
 
+import benfordtrack
 from benfordtrack import ChangeSeries
 from benfordtrack.synthetic import weekday_dates
 
@@ -87,3 +89,14 @@ def make_change_series(values, start=date(2008, 8, 8), entity="X", tenor="5Y"):
     return ChangeSeries(
         entity, tenor, dates[1:], np.asarray(values, dtype=np.float64), gaps
     )
+
+
+def cli_env() -> dict:
+    """Environment for a `python -m benfordtrack` child process.
+
+    The child imports the same package as the tests, whether it comes
+    from an installation or from the checkout's `src` directory.
+    """
+    package_root = os.path.dirname(os.path.dirname(benfordtrack.__file__))
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}

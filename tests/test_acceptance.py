@@ -23,13 +23,13 @@ from benfordtrack import (
     digit_histogram,
     fit_trend,
     gen_benford,
-    gen_uniform_digit,
-    inject_manipulation,
     kl_divergence,
-    observed_frequencies,
     track,
 )
+from benfordtrack.digits import observed_frequencies
+from benfordtrack.synthetic import gen_uniform_digit, inject_manipulation
 from helpers import (
+    cli_env,
     direct_chebyshev,
     direct_chi2,
     direct_kl,
@@ -246,7 +246,7 @@ def test_criterion_9_end_to_end_cli_determinism(tmp_path):
         for argv in commands:
             subprocess.run(
                 [sys.executable, "-m", "benfordtrack", *argv],
-                check=True, capture_output=True,
+                check=True, capture_output=True, env=cli_env(),
             )
         names = ["panel.csv", "analyze.json", "track.json", "analyze.csv", "track.csv"]
         return [(base / name).read_bytes() for name in names]

@@ -1,0 +1,58 @@
+"""The public surface: the exported names and the README library example."""
+
+import importlib
+from pathlib import Path
+
+import benfordtrack
+
+EXPORTED = {
+    "DigitHistogram", "benford_pmf", "digit_histogram", "first_significant_digit",
+    "DEGREES_OF_FREEDOM", "SMALL_SAMPLE_MIN", "ConformityStats",
+    "chebyshev_distance", "chi_square_pvalue", "chi_square_statistic",
+    "conformity", "critical_value", "kl_divergence",
+    "ChangeSeries", "PanelFormatError", "SpreadSeries", "daily_changes",
+    "parse_panel", "serialize_panel",
+    "PeriodSpec", "WindowResult", "WindowSpec", "analyze_period",
+    "named_periods", "track", "window_ranges",
+    "SynthSpec", "gen_benford", "synth_panel",
+    "PeriodReport", "PeriodRow", "TrackReport", "TrackRow", "TrendFit",
+    "build_period_report", "build_track_report", "emit", "fit_trend",
+    "__version__",
+}
+
+# helpers kept out of the top level, with the module that holds each
+MODULE_ONLY = {
+    "roman": "reporting",
+    "mantissa_exponent": "digits",
+    "observed_frequencies": "digits",
+    "generate": "synthetic",
+    "gen_constant": "synthetic",
+    "gen_uniform_digit": "synthetic",
+    "inject_manipulation": "synthetic",
+    "weekday_dates": "synthetic",
+}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_exported_names_are_pinned():
+    assert len(EXPORTED) == 39
+    assert sorted(benfordtrack.__all__) == sorted(EXPORTED)
+    for name in EXPORTED:
+        assert getattr(benfordtrack, name) is not None
+
+
+def test_helpers_are_imported_from_their_modules():
+    for name, module in MODULE_ONLY.items():
+        assert not hasattr(benfordtrack, name)
+        assert callable(getattr(importlib.import_module(f"benfordtrack.{module}"), name))
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    chi_square, p_value, verdict = capsys.readouterr().out.split()
+    assert float(chi_square) >= 0.0
+    assert 0.0 <= float(p_value) <= 1.0
+    assert verdict in ("accept", "reject")

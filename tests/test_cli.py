@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +21,7 @@ from benfordtrack import (
     window_ranges,
 )
 from benfordtrack.cli import main
+from helpers import cli_env
 
 
 def run_cli(argv, capsys):
@@ -219,6 +223,29 @@ def test_analyze_tenor_filter(panel_path, capsys):
     assert out.splitlines()[1:] == []  # synthetic panel only carries 5Y
 
 
+@pytest.mark.parametrize("command", ["analyze", "track"])
+def test_tenor_filter_keeps_exactly_the_named_tenors(command, tmp_path, capsys):
+    panel = tmp_path / "two_tenors.csv"
+    series = [
+        synth_panel(SynthSpec("benford", 300, seed), entity="DE", tenor=tenor)
+        for seed, tenor in ((1, "5Y"), (2, "10Y"))
+    ]
+    panel.write_text(serialize_panel(series), encoding="utf-8")
+
+    def rows(*tenors):
+        argv = [command, "--input", str(panel), "--format", "csv"]
+        for tenor in tenors:
+            argv += ["--tenor", tenor]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        return out.splitlines()[1:]
+
+    everything = rows()
+    assert {line.split(",")[1] for line in everything} == {"5Y", "10Y"}
+    assert rows("5Y") == [line for line in everything if line.split(",")[1] == "5Y"]
+    assert rows("5Y", "10Y") == everything
+
+
 # ----------------------------------------------------------------- track
 
 def test_track_csv_window_count(panel_path, capsys):
@@ -280,6 +307,30 @@ def test_track_date_range_slices_before_windowing(panel_path, capsys):
     assert code == 0
     # 136 weekday changes fall in the range: two full windows plus a tail
     assert len(out.splitlines()) == 4
+
+
+# ---------------------------------------------------------- closed pipe
+
+@pytest.mark.parametrize("command", ["track", "synth"])
+def test_closed_stdout_pipe_exits_141_quietly(command, panel_path, capsys):
+    argv = {
+        "track": ["track", "--input", str(panel_path), "--step", "1", "--format", "csv"],
+        "synth": ["synth", "--kind", "benford", "--n", "3000", "--seed", "1"],
+    }[command]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(out.encode("utf-8")) > 64 * 1024  # more than a pipe buffer holds
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "benfordtrack", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=cli_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 # ------------------------------------------------------------ versioning

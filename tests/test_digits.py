@@ -13,10 +13,8 @@ from benfordtrack import (
     digit_histogram,
     first_significant_digit,
     gen_benford,
-    mantissa_exponent,
-    observed_frequencies,
 )
-from benfordtrack.digits import DIGITS
+from benfordtrack.digits import DIGITS, mantissa_exponent, observed_frequencies
 from helpers import string_histogram
 
 # three-decimal reference frequencies for digits 1..9

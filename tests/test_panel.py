@@ -56,6 +56,7 @@ def test_parse_skips_blank_and_comment_lines():
         ("", 1, "header"),
         ("date;entity;tenor;spread_bps\n", 1, "header"),
         ("date,entity,tenor,spread\n", 1, "header"),
+        ("\ufeff" + GOOD, 1, "header starts with a UTF-8 byte-order mark"),
         (GOOD + "2010-01-07,Germany,5Y\n", 8, "4 fields"),
         (GOOD + "07/01/2010,Germany,5Y,42.0\n", 8, "ISO date"),
         (GOOD + "2010-01-07,,5Y,42.0\n", 8, "entity"),

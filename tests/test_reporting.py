@@ -18,13 +18,13 @@ from benfordtrack import (
     fit_trend,
     gen_benford,
     named_periods,
-    roman,
 )
 from benfordtrack.reporting import (
-    PERIOD_CSV_HEADER,
-    TRACK_CSV_HEADER,
+    PERIOD_COLUMNS,
+    TRACK_COLUMNS,
     TREND_METRICS,
     canonical_json,
+    roman,
 )
 from helpers import make_change_series
 
@@ -158,12 +158,6 @@ def test_build_period_report_annotates_uncoverable_periods():
     assert by_period["crisis"].stats is not None
 
 
-def test_build_period_report_tenor_filter():
-    report = build_period_report(_panel(), named_periods(), tenors={"5Y"})
-    assert len(report.rows) == 10
-    assert all(r.tenor == "5Y" for r in report.rows)
-
-
 def test_build_period_report_meta_passthrough():
     report = build_period_report(_panel()[:1], named_periods()[:1], meta={"run": 3})
     assert report.meta == {"run": 3}
@@ -202,7 +196,7 @@ def _tiny_period_report():
 def test_period_text_layout():
     text = emit(_tiny_period_report(), "text")
     lines = text.splitlines()
-    assert lines[0].split() == PERIOD_CSV_HEADER.split(",")
+    assert lines[0].split() == list(PERIOD_COLUMNS)
     assert lines[1].split() == ["DE", "5Y", "full", "12.3457", "0.5000", "accept", "100", "true"]
     assert "empty slice" in lines[2]
     assert all(line == line.rstrip() for line in lines)
@@ -214,7 +208,7 @@ def test_track_text_uses_roman_window_labels():
     report = build_track_report(panel, WindowSpec())
     text = emit(report, "text")
     lines = text.splitlines()
-    assert lines[0].split() == TRACK_CSV_HEADER.split(",")
+    assert lines[0].split() == list(TRACK_COLUMNS)
     assert lines[1].split()[2] == "I"
     assert lines[8].split()[2] == "VIII"
     assert "trends:" in text
@@ -246,7 +240,7 @@ def test_track_csv_layout():
     panel = [make_change_series(list(gen_benford(90, seed=1)), entity="AT")]
     report = build_track_report(panel, WindowSpec())
     lines = emit(report, "csv").splitlines()
-    assert lines[0] == TRACK_CSV_HEADER
+    assert lines[0] == ",".join(TRACK_COLUMNS)
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "AT"

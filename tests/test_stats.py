@@ -17,8 +17,8 @@ from benfordtrack import (
     conformity,
     critical_value,
     kl_divergence,
-    observed_frequencies,
 )
+from benfordtrack.digits import observed_frequencies
 from helpers import chi2_tail_quad, direct_chebyshev, direct_chi2, direct_kl
 
 UNIFORM = tuple([1.0 / 9.0] * 9)

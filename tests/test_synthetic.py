@@ -15,14 +15,16 @@ from benfordtrack import (
     digit_histogram,
     first_significant_digit,
     gen_benford,
+    parse_panel,
+    serialize_panel,
+    synth_panel,
+)
+from benfordtrack.digits import mantissa_exponent
+from benfordtrack.synthetic import (
     gen_constant,
     gen_uniform_digit,
     generate,
     inject_manipulation,
-    mantissa_exponent,
-    parse_panel,
-    serialize_panel,
-    synth_panel,
     weekday_dates,
 )
 from helpers import string_first_digit

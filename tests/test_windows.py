@@ -263,7 +263,7 @@ def test_track_all_zero_window_raises():
 def test_track_group_means_separate_clean_from_shifted():
     # windows drawn from digit-uniform data must sit far above windows
     # drawn from Benford data, consistently across seeds
-    from benfordtrack import gen_uniform_digit
+    from benfordtrack.synthetic import gen_uniform_digit
 
     for seed in (1, 2, 3):
         clean = make_change_series(list(gen_benford(900, seed=seed)))
