@@ -17,7 +17,7 @@ import sys
 from datetime import date
 
 from . import __version__
-from .panel import daily_changes, parse_panel, serialize_panel
+from .panel import daily_changes, iso_date, parse_panel, serialize_panel
 from .reporting import build_period_report, build_track_report, emit
 from .synthetic import SynthSpec, synth_panel
 from .windows import PeriodSpec, WindowSpec, named_periods
@@ -56,12 +56,12 @@ def _add_change_flags(sub: argparse.ArgumentParser) -> None:
         help="drop change pairs further apart than this (default unlimited)",
     )
     sub.add_argument(
-        "--from", dest="date_from", type=date.fromisoformat, default=None,
-        metavar="DATE", help="custom range start (ISO date)",
+        "--from", dest="date_from", type=iso_date, default=None,
+        metavar="DATE", help="custom range start (YYYY-MM-DD)",
     )
     sub.add_argument(
-        "--to", dest="date_to", type=date.fromisoformat, default=None,
-        metavar="DATE", help="custom range end (ISO date)",
+        "--to", dest="date_to", type=iso_date, default=None,
+        metavar="DATE", help="custom range end (YYYY-MM-DD)",
     )
 
 
@@ -122,8 +122,8 @@ def _build_parser() -> _Parser:
     synth.add_argument("--entity", default="SYNTH", help="entity label")
     synth.add_argument("--tenor", default="5Y", help="tenor label")
     synth.add_argument(
-        "--start-date", type=date.fromisoformat, default=date(2008, 8, 8),
-        metavar="DATE", help="first observation date (weekdays from here)",
+        "--start-date", type=iso_date, default=date(2008, 8, 8),
+        metavar="DATE", help="first observation date, YYYY-MM-DD (weekdays from here)",
     )
     synth.add_argument(
         "--base-spread", type=float, default=100.0,

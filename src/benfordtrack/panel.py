@@ -1,16 +1,17 @@
 """Panel CSV ingestion, daily change derivation and date slicing.
 
 The accepted input is a UTF-8 CSV with the exact header
-``date,entity,tenor,spread_bps``: ISO dates, comma-free entity and
-tenor labels, and strictly positive finite spreads with a ``.`` decimal
-separator.  Blank lines are skipped and lines starting with ``#`` are
-comments.  Parsing is strict; every rejection names the offending
-1-based line.
+``date,entity,tenor,spread_bps``: dates written exactly as
+``YYYY-MM-DD``, comma-free entity and tenor labels, and strictly
+positive finite spreads with a ``.`` decimal separator.  Blank lines
+are skipped and lines starting with ``#`` are comments.  Parsing is
+strict; every rejection names the offending 1-based line.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
 from typing import IO, Iterable
@@ -21,6 +22,12 @@ PANEL_HEADER = "date,entity,tenor,spread_bps"
 
 _CHANGE_MODES = ("absolute", "relative")
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64's day 0
+_FIRST_DAY = np.datetime64(date.min, "D")
+_LAST_DAY = np.datetime64(date.max, "D")
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
 
 class PanelFormatError(ValueError):
     """Malformed panel input; carries the 1-based line number."""
@@ -30,25 +37,80 @@ class PanelFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+def iso_date(text: str) -> date:
+    """The date written as exactly ``YYYY-MM-DD`` (ASCII digits).
+
+    `date.fromisoformat` alone accepts other forms such as ``20100105``
+    and ``2010-W01-2`` on some Python versions but not on others; this
+    rule is the same on every supported version.
+    """
+    if _ISO_DATE.fullmatch(text) is None:
+        raise ValueError(f"invalid ISO date {text!r}")
+    return date.fromisoformat(text)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SpreadSeries:
-    """Date-ordered spread observations for one (entity, tenor) pair."""
+    """Date-ordered spreads for one (entity, tenor) pair, stored as columns.
+
+    `dates` (datetime64[D], strictly increasing, within years 1 to 9999)
+    and `spreads` (float64, positive and finite) are read-only.  The
+    constructor takes ``(date, spread)`` pairs and `from_columns` takes
+    the two columns.  Series compare by identity, as their fields are
+    arrays.
+    """
 
     entity: str
     tenor: str
-    observations: tuple[tuple[date, float], ...]
+    dates: np.ndarray
+    spreads: np.ndarray
 
-    def __post_init__(self) -> None:
-        prev: date | None = None
-        for when, spread in self.observations:
-            if prev is not None and when <= prev:
-                raise ValueError("observation dates must be strictly increasing")
-            if not math.isfinite(spread) or spread <= 0.0:
-                raise ValueError("spreads must be positive and finite")
-            prev = when
+    def __init__(
+        self,
+        entity: str,
+        tenor: str,
+        observations: Iterable[tuple[date, float]],
+    ) -> None:
+        pairs = tuple(observations)
+        days = np.fromiter((when.toordinal() for when, _ in pairs), np.int64, len(pairs))
+        spreads = np.fromiter((spread for _, spread in pairs), np.float64, len(pairs))
+        self._store(entity, tenor, (days - _EPOCH_ORDINAL).astype("datetime64[D]"), spreads)
 
+    @classmethod
+    def from_columns(cls, entity: str, tenor: str, dates, spreads) -> "SpreadSeries":
+        """A series holding copies of the `dates` and `spreads` columns."""
+        series = cls.__new__(cls)
+        series._store(
+            entity,
+            tenor,
+            np.array(dates, dtype="datetime64[D]"),
+            np.array(spreads, dtype=np.float64),
+        )
+        return series
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64's day 0
+    def _store(self, entity: str, tenor: str, dates: np.ndarray, spreads: np.ndarray) -> None:
+        if dates.ndim != 1 or dates.shape != spreads.shape:
+            raise ValueError("dates and spreads must be 1-D columns of equal length")
+        if not (np.diff(dates) > np.timedelta64(0, "D")).all():
+            raise ValueError("observation dates must be strictly increasing")
+        if len(dates) and not (_FIRST_DAY <= dates[0] and dates[-1] <= _LAST_DAY):
+            raise ValueError("observation dates must lie within years 1 to 9999")
+        if not ((spreads > 0.0) & (spreads < np.inf)).all():
+            raise ValueError("spreads must be positive and finite")
+        for column in (dates, spreads):
+            column.flags.writeable = False
+        for name, value in zip(("entity", "tenor", "dates", "spreads"),
+                               (entity, tenor, dates, spreads)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def observations(self) -> tuple[tuple[date, float], ...]:
+        """``(date, spread)`` pairs, rebuilt from the columns on each call.
+
+        This makes two Python objects per observation; it serves callers
+        of the pair-based API, while the package reads the columns.
+        """
+        return tuple(zip(self.dates.tolist(), self.spreads.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +153,7 @@ def _parse_row(line_no: int, line: str) -> tuple[date, str, str, float]:
         raise PanelFormatError(line_no, f"expected 4 fields, got {len(fields)}")
     raw_date, entity, tenor, raw_spread = fields
     try:
-        when = date.fromisoformat(raw_date)
+        when = iso_date(raw_date)
     except ValueError:
         raise PanelFormatError(line_no, f"invalid ISO date {raw_date!r}") from None
     if not entity:
@@ -117,9 +179,17 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
     Rows may arrive in any order; each series comes back date-sorted
     and the list is sorted by (entity, tenor).  A duplicate
     (entity, tenor, date) triple is a hard error, as are nonpositive or
-    non-finite spreads.
+    non-finite spreads.  Well-formed text is read as columns; any other
+    text goes to the line-by-line reference parser, which reports the
+    first offending line.
     """
     text = source if isinstance(source, str) else source.read()
+    series = _parse_columns(text)
+    return _parse_lines(text) if series is None else series
+
+
+def _parse_lines(text: str) -> list[SpreadSeries]:
+    """The reference parser: one line at a time, each error with its line."""
     lines = text.splitlines()
     if not lines:
         raise PanelFormatError(1, "missing header")
@@ -141,9 +211,130 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
         cell[when] = spread
     series = []
     for (entity, tenor), cell in sorted(groups.items()):
-        observations = tuple(sorted(cell.items()))
-        series.append(SpreadSeries(entity, tenor, observations))
+        series.append(SpreadSeries(entity, tenor, sorted(cell.items())))
     return series
+
+
+# Line breaks of str.splitlines other than "\n"; the columnar parser splits
+# on "\n" alone, so text holding any of them goes to the line parser.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# every byte but "," and "\n"; deleting them leaves a chunk's field layout
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
+
+_CHUNK = 1 << 20  # characters per columnar step; bounds the per-row strings held
+
+
+class _Ids(dict):
+    """Label -> id, numbering each new label at its first lookup."""
+
+    def __missing__(self, label: str) -> int:
+        self[label] = len(self)
+        return len(self) - 1
+
+
+class _Days(dict):
+    """Date text -> days since 1970-01-01, parsed at its first lookup."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = day = iso_date(text).toordinal() - _EPOCH_ORDINAL
+        return day
+
+
+def _parse_columns(text: str) -> list[SpreadSeries] | None:
+    """`_parse_lines` for well-formed text, built as columns, or None.
+
+    Works on chunks of whole lines: one `split` per chunk, dates parsed
+    once per distinct string, spreads by `float` and labels numbered,
+    then one stable sort orders the rows.  Returns None, leaving the
+    text to the line parser, whenever it holds anything that parser
+    treats specially or rejects: another line break than "\\n", a
+    blank, comment or padded line, a line without exactly four fields,
+    an invalid date or spread, an empty label or a duplicate row.
+    """
+    if not text.startswith(PANEL_HEADER + "\n"):
+        return None
+    if any(mark in text for mark in _OTHER_BREAKS):
+        return None
+    entity_ids, tenor_ids, day_of = _Ids(), _Ids(), _Days()
+    chunks = []
+    start, stop = len(PANEL_HEADER) + 1, len(text) - text.endswith("\n")
+    while start < stop:
+        end = stop if stop - start <= _CHUNK else text.rfind("\n", start, start + _CHUNK)
+        if end < 0:
+            return None  # a line longer than a chunk
+        columns = _parse_chunk(text[start:end], entity_ids, tenor_ids, day_of)
+        if columns is None:
+            return None
+        chunks.append(columns)
+        start = end + 1
+    if not chunks:
+        return []
+    if "" in entity_ids or "" in tenor_ids:
+        return None
+    entity_col, tenor_col, days, spreads = (np.concatenate(c) for c in zip(*chunks))
+    del chunks
+    if not ((spreads > 0.0) & (spreads < np.inf)).all():
+        return None
+    entity_names, entity_rank = _sorted_ids(entity_ids)
+    tenor_names, tenor_rank = _sorted_ids(tenor_ids)
+    first_day = days.min()
+    span = int(days.max() - first_day) + 1
+    # (series, date) as one integer; series number in (entity, tenor) order
+    order_key = entity_rank[entity_col] * len(tenor_names) + tenor_rank[tenor_col]
+    del entity_col, tenor_col
+    order_key *= span
+    order_key += days - first_day
+    order = np.argsort(order_key, kind="stable")
+    order_key = order_key[order]
+    if (order_key[1:] == order_key[:-1]).any():
+        return None  # a duplicate (entity, tenor, date)
+    keys = order_key // span
+    dates, spreads = days[order].view("datetime64[D]"), spreads[order]
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    series = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        entity, tenor = divmod(int(keys[lo]), len(tenor_names))
+        series.append(SpreadSeries.from_columns(
+            entity_names[entity], tenor_names[tenor], dates[lo:hi], spreads[lo:hi]
+        ))
+    return series
+
+
+def _parse_chunk(
+    chunk: str, entity_ids: _Ids, tenor_ids: _Ids, day_of: _Days
+) -> tuple[np.ndarray, ...] | None:
+    """Entity ids, tenor ids, days and spreads of whole lines, or None.
+
+    Its per-field strings die on return, so one chunk's are alive at a time.
+    """
+    rows = chunk.count("\n") + 1
+    layout = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    if layout != b",,,\n" * (rows - 1) + b",,,":
+        return None  # some line has other than four fields
+    fields = chunk.replace("\n", ",").split(",")
+    dates, entities, tenors, spreads = (fields[i::4] for i in range(4))
+    if "_" in "".join(spreads):
+        return None
+    try:
+        days = np.fromiter(map(day_of.__getitem__, dates), np.int64, rows)
+        values = np.fromiter(map(float, spreads), np.float64, rows)
+    except ValueError:
+        return None  # an invalid date or spread
+    return (
+        np.fromiter(map(entity_ids.__getitem__, entities), np.int64, rows),
+        np.fromiter(map(tenor_ids.__getitem__, tenors), np.int64, rows),
+        days,
+        values,
+    )
+
+
+def _sorted_ids(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The labels in sorted order, and each id's position in that order."""
+    names = sorted(ids)
+    rank = np.empty(len(names), np.int64)
+    rank[[ids[name] for name in names]] = np.arange(len(names))
+    return names, rank
 
 
 def serialize_panel(series: Iterable[SpreadSeries]) -> str:
@@ -154,8 +345,9 @@ def serialize_panel(series: Iterable[SpreadSeries]) -> str:
     """
     lines = [PANEL_HEADER]
     for s in sorted(series, key=lambda s: (s.entity, s.tenor)):
-        for when, spread in s.observations:
-            lines.append(f"{when.isoformat()},{s.entity},{s.tenor},{spread!r}")
+        labels = f",{s.entity},{s.tenor},"
+        days = np.datetime_as_string(s.dates).tolist()
+        lines += [f"{day}{labels}{spread!r}" for day, spread in zip(days, s.spreads.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -176,16 +368,14 @@ def daily_changes(
         raise ValueError(f"change mode must be one of {_CHANGE_MODES}")
     if max_gap_days is not None and max_gap_days < 1:
         raise ValueError("max_gap_days must be at least 1")
-    obs = series.observations
-    if len(obs) < 2:
+    spreads = series.spreads
+    if len(spreads) < 2:
         raise ValueError("series too short")
-    days = np.fromiter((when.toordinal() for when, _ in obs), np.int64, len(obs))
-    spreads = np.fromiter((spread for _, spread in obs), np.float64, len(obs))
-    gaps = np.diff(days)
+    gaps = np.diff(series.dates).astype(np.int64)
     deltas = np.diff(spreads)
     if mode == "relative":
         deltas /= spreads[:-1]
-    dates = (days[1:] - _EPOCH_ORDINAL).astype("datetime64[D]")
+    dates = series.dates[1:]  # a read-only view
     dropped = 0
     if max_gap_days is not None:
         kept = gaps <= max_gap_days

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from typing import Iterable
 
 import numpy as np
@@ -129,15 +129,14 @@ def generate(spec: SynthSpec) -> np.ndarray:
     return values
 
 
+def _weekday_column(start: date, n: int) -> np.ndarray:
+    # Monday to Friday is numpy's default business-day mask
+    return np.busday_offset(np.datetime64(start, "D"), np.arange(n), roll="forward")
+
+
 def weekday_dates(start: date, n: int) -> list[date]:
     """The first n Monday-to-Friday dates on or after `start`."""
-    out: list[date] = []
-    current = start
-    while len(out) < n:
-        if current.weekday() < 5:
-            out.append(current)
-        current += timedelta(days=1)
-    return out
+    return _weekday_column(start, n).tolist()
 
 
 def synth_panel(
@@ -157,6 +156,5 @@ def synth_panel(
         raise ValueError("base spread must be positive")
     values = generate(spec)
     spreads = base_spread + np.concatenate([[0.0], np.cumsum(values)])
-    dates = weekday_dates(start, spec.n + 1)
-    observations = tuple(zip(dates, (float(s) for s in spreads)))
-    return SpreadSeries(entity, tenor, observations)
+    dates = _weekday_column(start, spec.n + 1)
+    return SpreadSeries.from_columns(entity, tenor, dates, spreads)

@@ -51,7 +51,7 @@ def test_synth_writes_a_parseable_panel(panel_path):
     series = parse_panel(panel_path.read_text())
     assert len(series) == 1
     assert series[0].entity == "SYNTH"
-    assert len(series[0].observations) == 1501
+    assert len(series[0].spreads) == 1501
 
 
 def test_synth_to_stdout(capsys):
@@ -98,7 +98,7 @@ def test_synth_manipulated_panel_round_trips(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert len(parse_panel(path.read_text())[0].observations) == 201
+    assert len(parse_panel(path.read_text())[0].spreads) == 201
 
 
 # --------------------------------------------------------------- analyze
@@ -156,6 +156,56 @@ def test_analyze_range_flags_must_pair(panel_path, capsys):
     )
     assert code == 1
     assert "together" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--from", "20090101", "--to", "2009-12-31"],
+        ["analyze", "--from", "2009-01-01", "--to", "2009-W52-4"],
+        ["track", "--from", "2009-1-1", "--to", "2009-12-31"],
+        ["synth", "--kind", "benford", "--n", "10", "--seed", "1",
+         "--start-date", "20080808"],
+    ],
+    ids=["from-compact", "to-week", "from-unpadded", "start-date-compact"],
+)
+def test_date_flags_accept_only_yyyy_mm_dd(argv, panel_path, capsys):
+    if argv[0] != "synth":
+        argv = [*argv, "--input", str(panel_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "invalid iso_date value" in err
+
+
+def test_panel_dates_must_be_yyyy_mm_dd(tmp_path, capsys):
+    # a compact date is rejected, not read as a duplicate of 2010-01-05
+    path = tmp_path / "compact.csv"
+    path.write_text(
+        "date,entity,tenor,spread_bps\n2010-01-05,DE,5Y,40.0\n"
+        "20100105,DE,5Y,41.0\n2010-01-06,DE,5Y,42.0\n"
+    )
+    code, out, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: invalid ISO date '20100105'\n"
+
+
+def test_commands_never_read_pair_observations(monkeypatch, panel_path, tmp_path, capsys):
+    def refuse(series):
+        raise AssertionError("SpreadSeries.observations read by the package")
+
+    monkeypatch.setattr(SpreadSeries, "observations", property(refuse))
+    path = tmp_path / "again.csv"
+    for argv in (
+        ["synth", "--kind", "uniform_digit", "--n", "300", "--seed", "2",
+         "--out", str(path)],
+        ["analyze", "--input", str(panel_path), "--change-mode", "relative",
+         "--max-gap-days", "3"],
+        ["track", "--input", str(path), "--format", "json"],
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
 
 
 def test_analyze_range_excludes_named_periods(panel_path, capsys):

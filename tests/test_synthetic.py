@@ -1,7 +1,7 @@
 """Synthetic sample generators, manipulation and panel synthesis."""
 
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -205,6 +205,28 @@ def test_weekday_dates_roll_forward_from_a_weekend_start():
     assert weekday_dates(date(2008, 8, 9), 1) == [date(2008, 8, 11)]
 
 
+def _weekdays_day_by_day(start, n):
+    out, current = [], start
+    while len(out) < n:
+        if current.weekday() < 5:
+            out.append(current)
+        current += timedelta(days=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1751])
+def test_weekday_dates_match_a_day_by_day_walk(n):
+    for offset in range(7):  # 2008-08-04 was a Monday
+        start = date(2008, 8, 4) + timedelta(days=offset)
+        dates = weekday_dates(start, n)
+        assert dates == _weekdays_day_by_day(start, n)
+        assert all(type(d) is date for d in dates)
+        if n:
+            spec = SynthSpec("benford", n - 1 or 1, 0)
+            days = synth_panel(spec, start=start).dates.tolist()
+            assert days == _weekdays_day_by_day(start, spec.n + 1)
+
+
 # ---------------------------------------------------------------- panel
 
 def test_synth_panel_daily_changes_recover_the_sample():
@@ -223,16 +245,18 @@ def test_synth_panel_shape_and_metadata():
     series = synth_panel(SynthSpec("benford", 10, 0), entity="DE", tenor="10Y")
     assert series.entity == "DE"
     assert series.tenor == "10Y"
-    assert len(series.observations) == 11
-    assert series.observations[0] == (date(2008, 8, 8), 100.0)
-    assert all(s > 0.0 for _, s in series.observations)
+    assert len(series.spreads) == 11
+    assert (series.dates[0], series.spreads[0]) == (np.datetime64("2008-08-08"), 100.0)
+    assert (series.spreads > 0.0).all()
 
 
 def test_synth_panel_round_trips_through_csv():
     series = synth_panel(SynthSpec("benford", 250, 7))
-    parsed = parse_panel(serialize_panel([series]))
-    assert parsed == [series]
-    recovered = daily_changes(parsed[0]).changes
+    (parsed,) = parse_panel(serialize_panel([series]))
+    assert (parsed.entity, parsed.tenor) == (series.entity, series.tenor)
+    assert parsed.dates.tolist() == series.dates.tolist()
+    assert parsed.spreads.tolist() == series.spreads.tolist()
+    recovered = daily_changes(parsed).changes
     assert digit_histogram(recovered) == digit_histogram(generate(SynthSpec("benford", 250, 7)))
 
 
