@@ -46,10 +46,7 @@ from .synthetic import (
     synth_panel,
 )
 from .reporting import (
-    PeriodReport,
-    PeriodRow,
-    TrackReport,
-    TrackRow,
+    Report,
     TrendFit,
     build_period_report,
     build_track_report,
@@ -89,10 +86,7 @@ __all__ = [
     "SynthSpec",
     "gen_benford",
     "synth_panel",
-    "PeriodReport",
-    "PeriodRow",
-    "TrackReport",
-    "TrackRow",
+    "Report",
     "TrendFit",
     "build_period_report",
     "build_track_report",

@@ -215,8 +215,8 @@ def _parse_lines(text: str) -> list[SpreadSeries]:
     return series
 
 
-# Line breaks of str.splitlines other than "\n"; the columnar parser splits
-# on "\n" alone, so text holding any of them goes to the line parser.
+# Line breaks of str.splitlines other than "\n"; the columnar parser turns
+# CRLF into "\n" and sends text holding any other break to the line parser.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 # every byte but "," and "\n"; deleting them leaves a chunk's field layout
@@ -248,10 +248,13 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     once per distinct string, spreads by `float` and labels numbered,
     then one stable sort orders the rows.  Returns None, leaving the
     text to the line parser, whenever it holds anything that parser
-    treats specially or rejects: another line break than "\\n", a
-    blank, comment or padded line, a line without exactly four fields,
-    an invalid date or spread, an empty label or a duplicate row.
+    treats specially or rejects: another line break than "\\n" or
+    "\\r\\n", a blank, comment or padded line, a line without exactly
+    four fields, an invalid date or spread, an empty label or a
+    duplicate row.
     """
+    if "\r" in text and text.count("\r") == text.count("\r\n"):
+        text = text.replace("\r\n", "\n")  # every "\r" ends a CRLF line
     if not text.startswith(PANEL_HEADER + "\n"):
         return None
     if any(mark in text for mark in _OTHER_BREAKS):

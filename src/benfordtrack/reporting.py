@@ -1,13 +1,13 @@
 """Report assembly and emission as aligned text, CSV or JSON.
 
-Each report has one output schema: the ordered column tuple
-`PERIOD_COLUMNS` or `TRACK_COLUMNS`.  A row function turns each report
-row into Python scalars in that column order, and one generic renderer
-per format turns those scalars into cells by value type: the text table
-shows floats with four decimals, `-` for a missing value and Roman
-window labels; CSV carries floats at full precision via repr and leaves
-a missing value empty; JSON takes the values as they are.  Only the
-trend block of a track report is rendered apart from the rows.
+A report is one table: an ordered column tuple (`PERIOD_COLUMNS` or
+`TRACK_COLUMNS`) and rows of Python scalars in that order.  The builders
+make each row directly from the cell's conformity measurement, and one
+generic renderer per format turns the scalars into cells by value type:
+the text table shows floats with four decimals, `-` for a missing value
+and Roman window labels; CSV carries floats at full precision via repr
+and leaves a missing value empty; JSON takes the values as they are.
+Only the trend block of a track report is rendered apart from the rows.
 
 Emission is deterministic: rows are ordered by entity, tenor and then
 period position or window index, and the JSON document is canonical
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .panel import ChangeSeries
-from .stats import ConformityStats
 from .windows import PeriodSpec, WindowResult, WindowSpec, analyze_period, track
 
 PERIOD_COLUMNS = (
@@ -67,34 +66,17 @@ class TrendFit:
 
 
 @dataclass(frozen=True)
-class PeriodRow:
-    """One (entity, tenor, period) cell; failed cells carry `error` instead."""
+class Report:
+    """One output table: `rows` of Python scalars in `columns` order.
 
-    entity: str
-    tenor: str
-    period: str
-    stats: ConformityStats | None
-    error: str | None = None
+    `trends` holds an (entity, tenor, TrendFit) triple per fitted metric
+    for a track report and is None for a period report.
+    """
 
-
-@dataclass(frozen=True)
-class PeriodReport:
-    rows: tuple[PeriodRow, ...]
+    columns: tuple[str, ...]
+    rows: tuple[tuple, ...]
     meta: Mapping
-
-
-@dataclass(frozen=True)
-class TrackRow:
-    entity: str
-    tenor: str
-    result: WindowResult
-
-
-@dataclass(frozen=True)
-class TrackReport:
-    rows: tuple[TrackRow, ...]
-    trends: tuple[tuple[str, str, TrendFit], ...]
-    meta: Mapping
+    trends: tuple[tuple[str, str, TrendFit], ...] | None = None
 
 
 def fit_trend(results: Sequence[WindowResult], metric: str) -> TrendFit:
@@ -134,21 +116,28 @@ def build_period_report(
     periods: Sequence[PeriodSpec],
     alpha: float = 0.05,
     meta: Mapping | None = None,
-) -> PeriodReport:
+) -> Report:
     """One row per (entity, tenor, period), periods kept in given order.
 
     A cell that cannot be measured (an empty slice, or one holding only
-    zero changes) becomes an annotated row instead of an error.
+    zero changes) becomes an annotated row instead of an error: its
+    measurements are missing and its error message is its verdict.
     """
     rows = []
     for s in _by_key(series):
         for period in periods:
             try:
-                stats = analyze_period(s, period, alpha)
-                rows.append(PeriodRow(s.entity, s.tenor, period.label, stats))
+                c = analyze_period(s, period, alpha)
             except ValueError as exc:
-                rows.append(PeriodRow(s.entity, s.tenor, period.label, None, str(exc)))
-    return PeriodReport(tuple(rows), dict(meta or {}))
+                rows.append(
+                    (s.entity, s.tenor, period.label, None, None, str(exc), None, None)
+                )
+                continue
+            rows.append((
+                s.entity, s.tenor, period.label, c.chi_square, c.p_value, c.verdict,
+                c.sample_size, c.small_sample_flag,
+            ))
+    return Report(PERIOD_COLUMNS, tuple(rows), dict(meta or {}))
 
 
 def build_track_report(
@@ -156,7 +145,7 @@ def build_track_report(
     spec: WindowSpec = WindowSpec(),
     alpha: float = 0.05,
     meta: Mapping | None = None,
-) -> TrackReport:
+) -> Report:
     """Rolling-window rows plus per-series trend fits for every metric.
 
     Trend fits need at least two windows; a series yielding a single
@@ -166,33 +155,17 @@ def build_track_report(
     trends = []
     for s in _by_key(series):
         results = track(s, spec, alpha)
-        rows.extend(TrackRow(s.entity, s.tenor, r) for r in results)
+        for r in results:
+            c = r.stats
+            rows.append((
+                s.entity, s.tenor, r.index, r.start_date.isoformat(),
+                r.end_date.isoformat(), c.sample_size,
+                c.chi_square, c.p_value, c.chebyshev, c.kl_divergence,
+            ))
         if len(results) >= 2:
             for metric in TREND_METRICS:
                 trends.append((s.entity, s.tenor, fit_trend(results, metric)))
-    return TrackReport(tuple(rows), tuple(trends), dict(meta or {}))
-
-
-def _period_values(row: PeriodRow) -> tuple:
-    """A period row in `PERIOD_COLUMNS` order; a failed cell's error is its verdict."""
-    s = row.stats
-    if s is None:
-        return (row.entity, row.tenor, row.period, None, None, row.error, None, None)
-    return (
-        row.entity, row.tenor, row.period, s.chi_square, s.p_value, s.verdict,
-        s.sample_size, s.small_sample_flag,
-    )
-
-
-def _track_values(row: TrackRow) -> tuple:
-    """A track row in `TRACK_COLUMNS` order."""
-    r = row.result
-    s = r.stats
-    return (
-        row.entity, row.tenor, r.index, r.start_date.isoformat(),
-        r.end_date.isoformat(), s.sample_size,
-        s.chi_square, s.p_value, s.chebyshev, s.kl_divergence,
-    )
+    return Report(TRACK_COLUMNS, tuple(rows), dict(meta or {}), tuple(trends))
 
 
 # cell formatting by value type; any other type renders with str
@@ -209,11 +182,11 @@ def _cells(values: Sequence, formats: Mapping) -> list[str]:
     return [formats.get(type(v), str)(v) for v in values]
 
 
-def _by_column(columns: Sequence[str], rows: list[tuple]):
+def _by_column(columns: Sequence[str], rows: Sequence[tuple]):
     return zip(columns, list(zip(*rows)) or [()] * len(columns))
 
 
-def _render_text(columns: Sequence[str], rows: list[tuple]) -> str:
+def _render_text(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     padded = []
     for name, values in _by_column(columns, rows):
         if name == "window":
@@ -226,7 +199,7 @@ def _render_text(columns: Sequence[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(columns: Sequence[str], rows: list[tuple]) -> str:
+def _render_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     cells = [_cells(values, _CSV_CELL) for _, values in _by_column(columns, rows)]
     lines = [",".join(columns), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
@@ -238,7 +211,7 @@ def canonical_json(doc) -> str:
 
 
 def _render_json(
-    columns: Sequence[str], rows: list[tuple], meta: Mapping, trends
+    columns: Sequence[str], rows: Sequence[tuple], meta: Mapping, trends
 ) -> str:
     doc = {"meta": dict(meta), "rows": [dict(zip(columns, row)) for row in rows]}
     if trends is not None:
@@ -264,19 +237,14 @@ def _trend_lines(trends) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: PeriodReport | TrackReport, fmt: str = "text") -> str:
+def emit(report: Report, fmt: str = "text") -> str:
     """Serialize a report as "text", "csv" or "json"."""
-    if isinstance(report, PeriodReport):
-        columns, values, trends = PERIOD_COLUMNS, _period_values, None
-    elif isinstance(report, TrackReport):
-        columns, values, trends = TRACK_COLUMNS, _track_values, report.trends
-    else:
-        raise TypeError("report must be a PeriodReport or TrackReport")
-    rows = [values(row) for row in report.rows]
+    if not isinstance(report, Report):
+        raise TypeError("report must be a Report")
     if fmt == "text":
-        return _render_text(columns, rows) + _trend_lines(trends)
+        return _render_text(report.columns, report.rows) + _trend_lines(report.trends)
     if fmt == "csv":
-        return _render_csv(columns, rows)
+        return _render_csv(report.columns, report.rows)
     if fmt == "json":
-        return _render_json(columns, rows, report.meta, trends)
+        return _render_json(report.columns, report.rows, report.meta, report.trends)
     raise ValueError('format must be one of "text", "csv", "json"')

@@ -1,6 +1,7 @@
 """The public surface: the exported names and the README library example."""
 
 import importlib
+import re
 from pathlib import Path
 
 import benfordtrack
@@ -15,7 +16,7 @@ EXPORTED = {
     "PeriodSpec", "WindowResult", "WindowSpec", "analyze_period",
     "named_periods", "track", "window_ranges",
     "SynthSpec", "gen_benford", "synth_panel",
-    "PeriodReport", "PeriodRow", "TrackReport", "TrackRow", "TrendFit",
+    "Report", "TrendFit",
     "build_period_report", "build_track_report", "emit", "fit_trend",
     "__version__",
 }
@@ -36,7 +37,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 39
+    assert len(EXPORTED) == 36
     assert sorted(benfordtrack.__all__) == sorted(EXPORTED)
     for name in EXPORTED:
         assert getattr(benfordtrack, name) is not None
@@ -48,8 +49,18 @@ def test_helpers_are_imported_from_their_modules():
         assert callable(getattr(importlib.import_module(f"benfordtrack.{module}"), name))
 
 
+def _library_section() -> str:
+    return README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+
+
+def test_readme_export_list_is_all():
+    listing = _library_section().split("The top-level package exports:\n", 1)[1]
+    names = re.findall(r"`([^`]+)`", listing.strip("\n").split("\n\n", 1)[0])
+    assert sorted(names) == sorted(benfordtrack.__all__)
+
+
 def test_readme_library_example_runs(capsys):
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    section = _library_section()
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, str(README), "exec"), {})
     chi_square, p_value, verdict = capsys.readouterr().out.split()

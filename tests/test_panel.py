@@ -367,6 +367,7 @@ def test_well_formed_panels_never_reach_the_line_parser(monkeypatch):
     monkeypatch.setattr(panel, "_parse_lines", refuse)
     assert _rows(parse_panel(text)) == expected
     assert _rows(parse_panel(text.rstrip("\n"))) == expected
+    assert _rows(parse_panel(text.replace("\n", "\r\n"))) == expected
 
 
 def test_columnar_parse_spans_chunks(monkeypatch):
@@ -458,16 +459,54 @@ def _outcome(parse, text):
         return exc.line_no, str(exc)
 
 
+def _compare_parsers(text):
+    """The outcome both parsers give `text`, and whether it was read as columns."""
+    reference = _outcome(panel._parse_lines, text)
+    assert _outcome(parse_panel, text) == reference, text
+    columnar = panel._parse_columns(text)
+    if columnar is not None:
+        assert _rows(columnar) == reference, text
+    return reference, columnar is not None
+
+
 def test_columnar_parser_matches_the_line_parser_on_mutated_panels():
     rng = random.Random(20080808)
     outcomes = {"valid": 0, "rejected": 0, "columnar": 0}
     for _ in range(4000):
-        text = _mutated_panel(rng)
-        reference = _outcome(panel._parse_lines, text)
-        assert _outcome(parse_panel, text) == reference, text
-        columnar = panel._parse_columns(text)
-        if columnar is not None:
-            assert _rows(columnar) == reference, text
-            outcomes["columnar"] += 1
+        reference, columnar = _compare_parsers(_mutated_panel(rng))
+        outcomes["columnar"] += columnar
         outcomes["valid" if isinstance(reference, list) else "rejected"] += 1
     assert min(outcomes.values()) > 500, outcomes
+
+
+def _crlf_variant(kind: str) -> str:
+    header, *body = _sovereign_panel(entities=2, n=6).splitlines()
+    if kind == "crlf":
+        return "\r\n".join([header, *body]) + "\r\n"
+    if kind == "mixed":
+        lines = [header, *body]
+        return "".join(line + ("\r\n", "\n")[i % 2] for i, line in enumerate(lines))
+    if kind == "cr_crlf":  # "\r\r\n" is two breaks to the line parser
+        body[3] += "\r"
+    elif kind == "lone_cr":
+        body[3] += "\r" + body.pop(4)
+    elif kind == "crlf_header":
+        return header + "\r\n" + "\n".join(body) + "\n"
+    elif kind == "cr_then_bad_row":  # the error line counts the extra break
+        body[2] += "\r"
+        body[5] = body[5].replace(",", ";", 1)
+    return "\r\n".join([header, *body]) + "\r\n"
+
+
+@pytest.mark.parametrize(
+    "kind,outcome",
+    [("crlf", "columnar"), ("mixed", "columnar"), ("crlf_header", "columnar"),
+     ("cr_crlf", "lines"), ("lone_cr", "lines"), ("cr_then_bad_row", 8)],
+)
+def test_columnar_parser_reads_crlf_endings_like_the_line_parser(kind, outcome):
+    reference, columnar = _compare_parsers(_crlf_variant(kind))
+    if isinstance(outcome, int):  # the error line, with "\r\r\n" as two breaks
+        assert reference[0] == outcome and not columnar
+    else:
+        assert isinstance(reference, list) and len(reference) == 4
+        assert columnar is (outcome == "columnar")

@@ -7,17 +7,17 @@ import pytest
 
 from benfordtrack import (
     ConformityStats,
-    PeriodReport,
-    PeriodRow,
-    TrackReport,
+    Report,
     WindowResult,
     WindowSpec,
+    analyze_period,
     build_period_report,
     build_track_report,
     emit,
     fit_trend,
     gen_benford,
     named_periods,
+    track,
 )
 from benfordtrack.reporting import (
     PERIOD_COLUMNS,
@@ -137,14 +137,20 @@ def _panel():
     return out
 
 
+def _cells_of(report):
+    return [dict(zip(report.columns, row)) for row in report.rows]
+
+
 def test_build_period_report_row_grid():
     report = build_period_report(_panel(), named_periods())
-    assert len(report.rows) == 20
-    labels = [r.period for r in report.rows[:5]]
+    rows = _cells_of(report)
+    assert len(rows) == 20
+    labels = [r["period"] for r in rows[:5]]
     assert labels == ["full", "pre_crisis", "crisis", "post_crisis", "post2010"]
-    keys = [(r.entity, r.tenor) for r in report.rows]
+    keys = [(r["entity"], r["tenor"]) for r in rows]
     assert keys == sorted(keys)
-    assert all(r.error is None for r in report.rows)
+    assert all(r["verdict"] in ("accept", "reject") for r in rows)
+    assert all(r["chi2"] is not None for r in rows)
 
 
 def test_build_period_report_annotates_uncoverable_periods():
@@ -152,10 +158,11 @@ def test_build_period_report_annotates_uncoverable_periods():
         list(gen_benford(200, seed=1)), start=date(2011, 3, 1), entity="GR"
     )
     report = build_period_report([late], named_periods())
-    by_period = {r.period: r for r in report.rows}
-    assert by_period["pre_crisis"].stats is None
-    assert "pre_crisis" in by_period["pre_crisis"].error
-    assert by_period["crisis"].stats is not None
+    by_period = {r["period"]: r for r in _cells_of(report)}
+    failed = by_period["pre_crisis"]
+    assert [failed[c] for c in ("chi2", "p_value", "n", "small_sample")] == [None] * 4
+    assert "pre_crisis" in failed["verdict"]
+    assert by_period["crisis"]["chi2"] is not None
 
 
 def test_build_period_report_meta_passthrough():
@@ -185,12 +192,53 @@ def test_build_track_report_single_window_has_no_trends():
     assert report.trends == ()
 
 
+# ----------------------------------------------------------- row schema
+
+def test_rows_hold_python_scalars_in_column_order():
+    covered = make_change_series(list(gen_benford(400, seed=5)), entity="AT")
+    late = make_change_series(
+        list(gen_benford(200, seed=1)), start=date(2011, 3, 1), entity="GR"
+    )
+    single = make_change_series(list(gen_benford(50, seed=2)), entity="PT")
+    period = build_period_report([covered, late], named_periods())
+    windows = build_track_report([covered, single], WindowSpec())
+    assert (period.columns, period.trends) == (PERIOD_COLUMNS, None)
+    assert windows.columns == TRACK_COLUMNS
+    cells = {(r["entity"], r["period"]): r for r in _cells_of(period)}
+    assert cells["GR", "pre_crisis"]["verdict"].startswith("empty slice")
+    assert [r[0] for r in windows.rows].count("PT") == 1
+    for report in (period, windows):
+        for row in report.rows:
+            assert type(row) is tuple and len(row) == len(report.columns)
+            for cell in row:
+                # exact types: a numpy scalar would render as another type
+                assert type(cell) in (type(None), bool, int, float, str), (row, cell)
+
+
+def test_rows_copy_each_measurement_into_its_column():
+    s = make_change_series(list(gen_benford(400, seed=6)), entity="AT")
+    full = named_periods()[0]
+    (row,) = build_period_report([s], [full], alpha=0.1).rows
+    c = analyze_period(s, full, 0.1)
+    assert row == ("AT", "5Y", "full", c.chi_square, c.p_value, c.verdict,
+                   c.sample_size, c.small_sample_flag)
+    rows = build_track_report([s], WindowSpec(), alpha=0.1).rows
+    results = track(s, WindowSpec(), 0.1)
+    assert rows == tuple(
+        ("AT", "5Y", r.index, r.start_date.isoformat(), r.end_date.isoformat(),
+         r.stats.sample_size, r.stats.chi_square, r.stats.p_value,
+         r.stats.chebyshev, r.stats.kl_divergence)
+        for r in results
+    )
+
+
 # ----------------------------------------------------------- text table
 
 def _tiny_period_report():
-    row = PeriodRow("DE", "5Y", "full", _stats(12.3456789, n=100))
-    bad = PeriodRow("DE", "5Y", "pre_crisis", None, "empty slice for period 'pre_crisis'")
-    return PeriodReport((row, bad), {"alpha": 0.05})
+    row = ("DE", "5Y", "full", 12.3456789, 0.5, "accept", 100, True)
+    bad = ("DE", "5Y", "pre_crisis", None, None, "empty slice for period 'pre_crisis'",
+           None, None)
+    return Report(PERIOD_COLUMNS, (row, bad), {"alpha": 0.05})
 
 
 def test_period_text_layout():
@@ -230,10 +278,10 @@ def test_csv_floats_round_trip_exactly():
     panel = [make_change_series(list(gen_benford(1750, seed=4)))]
     report = build_period_report(panel, named_periods())
     body = emit(report, "csv").splitlines()[1:]
-    for row, line in zip(report.rows, body):
+    for row, line in zip(_cells_of(report), body):
         cells = line.split(",")
-        assert float(cells[3]) == row.stats.chi_square
-        assert float(cells[4]) == row.stats.p_value
+        assert float(cells[3]) == row["chi2"]
+        assert float(cells[4]) == row["p_value"]
 
 
 def test_track_csv_layout():
@@ -247,7 +295,7 @@ def test_track_csv_layout():
     assert first[2] == "1"  # machine format keeps plain integers
     # changes are dated at the later observation: the Monday after the start
     assert first[3] == "2008-08-11"
-    assert float(first[6]) == report.rows[0].result.stats.chi_square
+    assert float(first[6]) == _cells_of(report)[0]["chi2"]
 
 
 # ----------------------------------------------------------------- json
@@ -291,9 +339,9 @@ def test_json_emission_round_trips_float_values():
     panel = [make_change_series(list(gen_benford(300, seed=8)))]
     report = build_track_report(panel, WindowSpec())
     doc = json.loads(emit(report, "json"))
-    for row, entry in zip(report.rows, doc["rows"]):
-        assert entry["chi2"] == row.result.stats.chi_square
-        assert entry["kl"] == row.result.stats.kl_divergence
+    for row, entry in zip(_cells_of(report), doc["rows"]):
+        assert entry["chi2"] == row["chi2"]
+        assert entry["kl"] == row["kl"]
 
 
 # ------------------------------------------------------------ emit guard
