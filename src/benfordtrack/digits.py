@@ -26,10 +26,11 @@ _EDGE_HIGH = 9.9999999999
 # Python's 10.0 ** k for every decade a nonzero finite double can fall in.
 # np.power(10.0, k) differs from it in the last bit at some k on some
 # hosts, which would make the vectorised quotient disagree with the
-# scalar one; an entry that underflows to zero sends its values to the
-# string path, as in the scalar code.
+# scalar one.  Entries whose 10.0 ** k underflows to zero are stored as
+# NaN: their quotients are NaN, fail the fast-path test without a
+# division warning, and take the string path, as in the scalar code.
 _POW10_MIN = -330
-_POW10 = np.array([10.0 ** k for k in range(_POW10_MIN, 309)])
+_POW10 = np.array([10.0 ** k or math.nan for k in range(_POW10_MIN, 309)])
 
 
 def benford_pmf() -> np.ndarray:
@@ -104,7 +105,7 @@ class DigitHistogram:
     def __post_init__(self) -> None:
         if len(self.counts) != 9:
             raise ValueError("counts must have nine entries")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("counts must be nonnegative")
         if self.excluded < 0:
             raise ValueError("excluded must be nonnegative")
@@ -126,17 +127,19 @@ def digit_histogram(values: Iterable[float]) -> DigitHistogram:
     if not isinstance(values, np.ndarray):
         values = list(values)
     x = np.abs(np.asarray(values, dtype=np.float64))
-    if not np.all(np.isfinite(x)):
+    if np.count_nonzero(np.isfinite(x)) < x.size:
         raise ValueError("non-finite value")
     nonzero = x[x != 0.0]
     e = np.floor(np.log10(nonzero)).astype(np.intp)
-    with np.errstate(divide="ignore"):
-        m = nonzero / _POW10[e - _POW10_MIN]
+    m = nonzero / _POW10[e - _POW10_MIN]
     fast = (m >= 1.0) & (m < _EDGE_HIGH)
-    counts = np.bincount(m[fast].astype(np.intp), minlength=10)
-    for v in nonzero[~fast].tolist():
-        counts[first_significant_digit(v)] += 1
-    return DigitHistogram(tuple(counts[1:].tolist()), len(x) - len(nonzero))
+    if np.count_nonzero(fast) == len(m):
+        counts = np.bincount(m.astype(np.intp), minlength=10)
+    else:
+        counts = np.bincount(m[fast].astype(np.intp), minlength=10)
+        for v in nonzero[~fast].tolist():
+            counts[first_significant_digit(v)] += 1
+    return DigitHistogram(tuple(counts.tolist()[1:]), len(x) - len(nonzero))
 
 
 def observed_frequencies(h: DigitHistogram) -> np.ndarray:

@@ -6,8 +6,9 @@ make each row directly from the cell's conformity measurement, and one
 generic renderer per format turns the scalars into cells by value type:
 the text table shows floats with four decimals, `-` for a missing value
 and Roman window labels; CSV carries floats at full precision via repr
-and leaves a missing value empty; JSON takes the values as they are.
-Only the trend block of a track report is rendered apart from the rows.
+and leaves a missing value empty; JSON writes each cell as json.dumps
+does and accepts only None, bool, int, float and str cells.  Only the
+trend block of a track report is rendered apart from the rows.
 
 Emission is deterministic: rows are ordered by entity, tenor and then
 period position or window index, and the JSON document is canonical
@@ -18,6 +19,7 @@ to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -210,19 +212,69 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _json_float(v: float) -> str:
+    if v != v or v in (math.inf, -math.inf):
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    return float.__repr__(v)
+
+
+# JSON cell text by exact value type, as json.dumps writes it
+_JSON_CELL = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: _json_float,
+    str: json.encoder.encode_basestring_ascii,
+}
+
+
+def _json_cell(v) -> str:
+    fmt = _JSON_CELL.get(type(v))
+    if fmt is None:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    return fmt(v)
+
+
+def _nested_json(value) -> str:
+    """canonical_json of `value` as it reads one level inside a document."""
+    return canonical_json(value)[:-1].replace("\n", "\n  ")
+
+
 def _render_json(
     columns: Sequence[str], rows: Sequence[tuple], meta: Mapping, trends
 ) -> str:
-    doc = {"meta": dict(meta), "rows": [dict(zip(columns, row)) for row in rows]}
+    """canonical_json of {"meta", "rows", "trends"} with rows as key -> cell.
+
+    Each row fills one template whose keys are sorted once, so the rows
+    never become dicts; `meta` and `trends` go through canonical_json.
+    """
+    position = {name: i for i, name in enumerate(columns)}  # last one wins
+    keys = sorted(position)
+    order = [position[k] for k in keys]
+    fields = ",\n".join(
+        f"      {json.encoder.encode_basestring_ascii(k).replace('%', '%%')}: %s"
+        for k in keys
+    )
+    template = "    {\n" + fields + "\n    }" if keys else "    {}"
+    parts = ['{\n  "meta": ', _nested_json(dict(meta)), ',\n  "rows": ']
+    if rows:
+        rendered = [
+            template % tuple([_json_cell(row[i]) for i in order]) for row in rows
+        ]
+        parts += ["[\n", ",\n".join(rendered), "\n  ]"]
+    else:
+        parts.append("[]")
     if trends is not None:
-        doc["trends"] = {}
+        nested = {}
         for entity, tenor, fit in trends:
-            doc["trends"].setdefault(entity, {}).setdefault(tenor, {})[fit.metric] = {
+            nested.setdefault(entity, {}).setdefault(tenor, {})[fit.metric] = {
                 "slope": fit.slope,
                 "intercept": fit.intercept,
                 "r_squared": fit.r_squared,
             }
-    return canonical_json(doc)
+        parts += [',\n  "trends": ', _nested_json(nested)]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _trend_lines(trends) -> str:

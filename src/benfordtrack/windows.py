@@ -123,12 +123,10 @@ def track(
     raises the empty-sample error.
     """
     results = []
-    dates = series.dates
+    dates = series.dates.tolist()
     for index, r in enumerate(window_ranges(len(dates), spec), start=1):
         stats = conformity(digit_histogram(series.changes[r.start : r.stop]), alpha)
         results.append(
-            WindowResult(
-                index, dates[r.start].item(), dates[r.stop - 1].item(), len(r), stats
-            )
+            WindowResult(index, dates[r.start], dates[r.stop - 1], len(r), stats)
         )
     return results

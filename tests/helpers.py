@@ -2,10 +2,11 @@
 
 Everything here re-derives expected behavior through a different route
 than the library takes: decimal-string digit scanning, plain-Python
-formula evaluation, adaptive quadrature, and step-by-step window
-enumeration.
+formula evaluation, adaptive quadrature, step-by-step window
+enumeration, and JSON through a dict document and json.dumps.
 """
 
+import json
 import math
 import os
 from datetime import date
@@ -89,6 +90,28 @@ def make_change_series(values, start=date(2008, 8, 8), entity="X", tenor="5Y"):
     return ChangeSeries(
         entity, tenor, dates[1:], np.asarray(values, dtype=np.float64), gaps
     )
+
+
+def json_document(report) -> str:
+    """A report's JSON through a dict document and json.dumps.
+
+    The meta, rows as column -> value dicts, and the trends nested as
+    entity -> tenor -> metric -> fit, rendered with sorted keys and a
+    two-space indent.
+    """
+    doc = {
+        "meta": dict(report.meta),
+        "rows": [dict(zip(report.columns, row)) for row in report.rows],
+    }
+    if report.trends is not None:
+        doc["trends"] = {}
+        for entity, tenor, fit in report.trends:
+            doc["trends"].setdefault(entity, {}).setdefault(tenor, {})[fit.metric] = {
+                "slope": fit.slope,
+                "intercept": fit.intercept,
+                "r_squared": fit.r_squared,
+            }
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cli_env() -> dict:

@@ -209,6 +209,7 @@ def _scalar_rule_probes():
     return values + [0.0, -0.0]
 
 
+@pytest.mark.filterwarnings("error")
 def test_histogram_equals_the_scalar_digit_of_every_value():
     # grouping by the scalar digit makes any single disagreement show
     # up as a count outside the group's own bin

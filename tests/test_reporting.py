@@ -1,13 +1,16 @@
 """Report construction, trend fits and text/CSV/JSON emission."""
 
 import json
+import math
 from datetime import date
 
+import numpy as np
 import pytest
 
 from benfordtrack import (
     ConformityStats,
     Report,
+    TrendFit,
     WindowResult,
     WindowSpec,
     analyze_period,
@@ -26,7 +29,7 @@ from benfordtrack.reporting import (
     canonical_json,
     roman,
 )
-from helpers import make_change_series
+from helpers import json_document, make_change_series
 
 
 # ---------------------------------------------------------------- roman
@@ -342,6 +345,62 @@ def test_json_emission_round_trips_float_values():
     for row, entry in zip(_cells_of(report), doc["rows"]):
         assert entry["chi2"] == row["chi2"]
         assert entry["kl"] == row["kl"]
+
+
+_AWKWARD_LABELS = [
+    'q"uote', "back\\slash", "ctl\x00\x1f\t\n", "caf\u00e9 \u20ac", "astral \U0001f600",
+    "%s%%",
+]
+
+
+def _awkward_report(rows, trends=()):
+    columns = ("label", "value", "n", "flag", "none", 'k%s"\u00e9')
+    fits = tuple(
+        (label, "5Y", TrendFit(metric, 0.1 + 0.2, -0.0, 5e-324))
+        for label in _AWKWARD_LABELS for metric in TREND_METRICS
+    ) if trends is not None else None
+    return Report(columns, tuple(rows), {"alpha": 0.05, "note": "m\u00e9ta"}, fits)
+
+
+@pytest.mark.parametrize("build", ["period", "track"])
+def test_json_rows_equal_the_dict_document(build):
+    panel = [
+        make_change_series(list(gen_benford(400, seed=s)), entity=e)
+        for s, e in ((1, "AT"), (2, 'B"E'), (3, "caf\u00e9"))
+    ]
+    if build == "period":
+        report = build_period_report(panel, named_periods())
+    else:
+        report = build_track_report(panel, WindowSpec(), meta={"window": 90})
+    assert emit(report, "json") == json_document(report)
+
+
+@pytest.mark.parametrize("trends", [(), None], ids=["trends", "no-trends"])
+def test_json_cells_equal_the_dict_document(trends):
+    floats = [-0.0, 5e-324, 1e308, 0.1 + 0.2, -1.5, 12.0]
+    rows = [
+        (label, value, n, flag, None, label)
+        for label, value, n, flag in zip(
+            _AWKWARD_LABELS, floats, [0, -7, 2**70, 1, 90, 3], [True, False] * 3
+        )
+    ]
+    report = _awkward_report(rows, trends)
+    assert emit(report, "json") == json_document(report)
+    empty = _awkward_report([], trends)
+    assert emit(empty, "json") == json_document(empty)
+    for odd in (Report((), ((), ()), {}), Report(("b", "a", "b"), ((1, 2, 3),), {})):
+        assert emit(odd, "json") == json_document(odd)
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+def test_json_refuses_a_non_finite_cell(cell):
+    with pytest.raises(ValueError):
+        emit(_awkward_report([("x", cell, 1, True, None, "x")]), "json")
+
+
+def test_json_refuses_a_numpy_cell():
+    with pytest.raises(TypeError):
+        emit(_awkward_report([("x", np.float64(1.5), 1, True, None, "x")]), "json")
 
 
 # ------------------------------------------------------------ emit guard

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from benfordtrack import (
@@ -280,12 +280,38 @@ def test_conformity_small_sample_flag_threshold():
     assert not conformity(high).small_sample_flag
 
 
-def test_conformity_carries_both_distances():
-    h = DigitHistogram((100,) * 9)
+def _single_bin(digit_and_count):
+    digit, count = digit_and_count
+    return tuple(count if d == digit else 0 for d in range(9))
+
+
+# any mix of bins, many empty bins, or one nonzero bin; counts up to 2**80
+_histograms = st.one_of(
+    st.tuples(*[st.integers(0, 2**80)] * 9),
+    st.tuples(*[st.sampled_from([0, 1, 2, 89, 10**15, 2**80])] * 9),
+    st.tuples(st.integers(0, 8), st.integers(1, 2**80)).map(_single_bin),
+).filter(any)
+
+
+@given(counts=_histograms)
+@example(counts=(100,) * 9)
+@example(counts=(1,) + (0,) * 8)
+def test_conformity_carries_both_distances(counts):
+    h = DigitHistogram(counts)
     st_out = conformity(h)
     freq = observed_frequencies(h)
+    assert st_out.chi_square == chi_square_statistic(h)
     assert st_out.chebyshev == chebyshev_distance(freq, benford_pmf())
     assert st_out.kl_divergence == kl_divergence(freq, benford_pmf())
+
+
+def test_log_of_the_reference_commutes_with_every_support_mask():
+    # conformity takes the log of the whole reference once; selecting
+    # entries afterwards must give the same bits as logging the selection
+    ref = benford_pmf()
+    for support in range(1, 2**9):
+        mask = np.array([support >> d & 1 for d in range(9)], dtype=bool)
+        assert np.log(ref)[mask].tobytes() == np.log(ref[mask]).tobytes()
 
 
 def test_conformity_is_reproducible():
