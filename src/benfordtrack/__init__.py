@@ -42,7 +42,7 @@ from .windows import (
 )
 from .synthetic import (
     SynthSpec,
-    gen_benford,
+    generate,
     synth_panel,
 )
 from .reporting import (
@@ -84,7 +84,7 @@ __all__ = [
     "track",
     "window_ranges",
     "SynthSpec",
-    "gen_benford",
+    "generate",
     "synth_panel",
     "Report",
     "TrendFit",

@@ -17,9 +17,9 @@ import sys
 from datetime import date
 
 from . import __version__
-from .panel import daily_changes, iso_date, parse_panel, serialize_panel
+from .panel import CHANGE_MODES, daily_changes, iso_date, parse_panel, serialize_panel
 from .reporting import build_period_report, build_track_report, emit
-from .synthetic import SynthSpec, synth_panel
+from .synthetic import KINDS, SynthSpec, synth_panel
 from .windows import PeriodSpec, WindowSpec, named_periods
 
 _PERIOD_LABELS = tuple(p.label for p in named_periods())
@@ -48,7 +48,7 @@ def _add_change_flags(sub: argparse.ArgumentParser) -> None:
         help="restrict to this tenor (repeatable; default all)",
     )
     sub.add_argument(
-        "--change-mode", choices=("absolute", "relative"), default="absolute",
+        "--change-mode", choices=CHANGE_MODES, default="absolute",
         help="daily change definition",
     )
     sub.add_argument(
@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     synth.add_argument(
-        "--kind", choices=("benford", "uniform_digit", "constant"), required=True,
+        "--kind", choices=KINDS, required=True,
         help="digit distribution of the generated changes",
     )
     synth.add_argument("--n", type=int, required=True, help="number of changes")

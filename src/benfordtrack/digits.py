@@ -15,8 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-DIGITS = tuple(range(1, 10))
-
 # Mantissas at least this close to a decade edge are re-derived from a
 # 12-significant-digit decimal rendering.  Raw floor(log10) arithmetic
 # misclassifies values such as 0.1 or 999.9999999999 whose logarithm
@@ -141,10 +139,3 @@ def digit_histogram(values: Iterable[float]) -> DigitHistogram:
             counts[first_significant_digit(v)] += 1
     return DigitHistogram(tuple(counts.tolist()[1:]), len(x) - len(nonzero))
 
-
-def observed_frequencies(h: DigitHistogram) -> np.ndarray:
-    """Relative digit frequencies counts / total as a length-9 array."""
-    total = h.total
-    if total == 0:
-        raise ValueError("empty sample")
-    return np.asarray(h.counts, dtype=float) / total

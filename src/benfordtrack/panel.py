@@ -20,7 +20,7 @@ import numpy as np
 
 PANEL_HEADER = "date,entity,tenor,spread_bps"
 
-_CHANGE_MODES = ("absolute", "relative")
+CHANGE_MODES = ("absolute", "relative")
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64's day 0
 _FIRST_DAY = np.datetime64(date.min, "D")
@@ -55,6 +55,8 @@ class SpreadSeries:
 
     `dates` (datetime64[D], strictly increasing, within years 1 to 9999)
     and `spreads` (float64, positive and finite) are read-only.  The
+    entity and tenor labels are nonempty and hold no comma or line
+    break, so every series can be written as panel CSV.  The
     constructor takes ``(date, spread)`` pairs and `from_columns` takes
     the two columns.  Series compare by identity, as their fields are
     arrays.
@@ -89,6 +91,9 @@ class SpreadSeries:
         return series
 
     def _store(self, entity: str, tenor: str, dates: np.ndarray, spreads: np.ndarray) -> None:
+        for name, label in (("entity", entity), ("tenor", tenor)):
+            if not label or any(mark in label for mark in _NOT_IN_LABELS):
+                raise ValueError(f"{name} {label!r} is empty or holds a comma or line break")
         if dates.ndim != 1 or dates.shape != spreads.shape:
             raise ValueError("dates and spreads must be 1-D columns of equal length")
         if not (np.diff(dates) > np.timedelta64(0, "D")).all():
@@ -118,8 +123,7 @@ class ChangeSeries:
     """Date-ordered changes for one (entity, tenor) pair, stored as columns.
 
     `dates` (datetime64[D], strictly increasing) dates each change by its
-    later observation, `changes` (float64) holds the change values and
-    `gaps` (int64) the calendar days back to the previous observation.
+    later observation and `changes` (float64) holds the change values.
     `dropped` counts the consecutive-observation pairs discarded at
     derivation time because their calendar gap exceeded the cap.
     """
@@ -128,7 +132,6 @@ class ChangeSeries:
     tenor: str
     dates: np.ndarray
     changes: np.ndarray
-    gaps: np.ndarray
     dropped: int = 0
 
     def slice(self, start: date, end: date) -> "ChangeSeries":
@@ -142,7 +145,6 @@ class ChangeSeries:
             self.tenor,
             self.dates[lo:hi],
             self.changes[lo:hi],
-            self.gaps[lo:hi],
             self.dropped,
         )
 
@@ -218,11 +220,12 @@ def _parse_lines(text: str) -> list[SpreadSeries]:
 # Line breaks of str.splitlines other than "\n"; the columnar parser turns
 # CRLF into "\n" and sends text holding any other break to the line parser.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_NOT_IN_LABELS = ",\n" + _OTHER_BREAKS
 
 # every byte but "," and "\n"; deleting them leaves a chunk's field layout
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
-_CHUNK = 1 << 20  # characters per columnar step; bounds the per-row strings held
+_CHUNK = 1 << 17  # characters per columnar step; its per-field strings take about 9x that
 
 
 class _Ids(dict):
@@ -362,28 +365,27 @@ def daily_changes(
     """Differences between consecutive available observations.
 
     Weekends and holidays are not bridged or interpolated: each change
-    pairs an observation with the previous available one and records
-    the calendar gap in days.  Pairs whose gap exceeds `max_gap_days`
-    are dropped and counted, never merged.  `mode` selects plain
-    differences ("absolute") or fractional ones ("relative").
+    pairs an observation with the previous available one.  Pairs whose
+    calendar gap exceeds `max_gap_days` days are dropped and counted,
+    never merged.  `mode` selects plain differences ("absolute") or
+    fractional ones ("relative").
     """
-    if mode not in _CHANGE_MODES:
-        raise ValueError(f"change mode must be one of {_CHANGE_MODES}")
+    if mode not in CHANGE_MODES:
+        raise ValueError(f"change mode must be one of {CHANGE_MODES}")
     if max_gap_days is not None and max_gap_days < 1:
         raise ValueError("max_gap_days must be at least 1")
     spreads = series.spreads
     if len(spreads) < 2:
         raise ValueError("series too short")
-    gaps = np.diff(series.dates).astype(np.int64)
     deltas = np.diff(spreads)
     if mode == "relative":
         deltas /= spreads[:-1]
     dates = series.dates[1:]  # a read-only view
     dropped = 0
     if max_gap_days is not None:
-        kept = gaps <= max_gap_days
-        dropped = len(gaps) - int(np.count_nonzero(kept))
-        dates, deltas, gaps = dates[kept], deltas[kept], gaps[kept]
-    for column in (dates, deltas, gaps):
+        kept = np.diff(series.dates).astype(np.int64) <= max_gap_days
+        dropped = len(kept) - int(np.count_nonzero(kept))
+        dates, deltas = dates[kept], deltas[kept]
+    for column in (dates, deltas):
         column.flags.writeable = False  # slices are views into these
-    return ChangeSeries(series.entity, series.tenor, dates, deltas, gaps, dropped)
+    return ChangeSeries(series.entity, series.tenor, dates, deltas, dropped)

@@ -69,7 +69,7 @@ class TrendFit:
 
 @dataclass(frozen=True)
 class Report:
-    """One output table: `rows` of Python scalars in `columns` order.
+    """One output table: `rows` of Python scalars, one per column, in `columns` order.
 
     `trends` holds an (entity, tenor, TrendFit) triple per fitted metric
     for a track report and is None for a period report.
@@ -79,6 +79,11 @@ class Report:
     rows: tuple[tuple, ...]
     meta: Mapping
     trends: tuple[tuple[str, str, TrendFit], ...] | None = None
+
+    def __post_init__(self) -> None:
+        for i, row in enumerate(self.rows):
+            if len(row) != len(self.columns):
+                raise ValueError(f"row {i} holds {len(row)} cells, not {len(self.columns)}")
 
 
 def fit_trend(results: Sequence[WindowResult], metric: str) -> TrendFit:

@@ -20,50 +20,13 @@ import numpy as np
 from .digits import mantissa_exponent
 from .panel import SpreadSeries
 
-_KINDS = ("benford", "uniform_digit", "constant")
+KINDS = ("benford", "uniform_digit", "constant")
 
 
 def _generator(seed: int) -> np.random.Generator:
     # PCG64 is pinned (not the platform default at whatever version)
     # so documented Monte Carlo rates stay stable.
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def gen_benford(n: int, seed: int) -> np.ndarray:
-    """n values 10**(3u), u uniform on [0, 1): log-uniform over [1, 1000).
-
-    A log-uniform spanning whole decades has first digits distributed
-    exactly by the logarithmic law.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    u = _generator(seed).random(n)
-    return 10.0 ** (3.0 * u)
-
-
-def gen_uniform_digit(n: int, seed: int) -> np.ndarray:
-    """n positive values whose first digits are uniform on {1, ..., 9}.
-
-    Each value is (d + f) * 10**k with digit d uniform on {1..9},
-    mantissa offset f uniform on [0, 1), and decade k uniform on
-    {0, 1}, so the first digit equals the drawn d by construction.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = _generator(seed)
-    d = rng.integers(1, 10, size=n)
-    f = rng.random(n)
-    k = rng.integers(0, 2, size=n)
-    return (d + f) * 10.0 ** k
-
-
-def gen_constant(n: int, value: float = 1.0) -> np.ndarray:
-    """n copies of `value`; the degenerate single-digit sample."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not math.isfinite(value) or value == 0.0:
-        raise ValueError("value must be finite and nonzero")
-    return np.full(n, float(value))
 
 
 def inject_manipulation(
@@ -109,34 +72,37 @@ class SynthSpec:
     manipulation: tuple[float, int] | None = None  # (fraction, target digit)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
 
 def generate(spec: SynthSpec) -> np.ndarray:
-    """Sample values per `spec`; manipulation reuses the same seed."""
+    """Sample values per `spec`; manipulation reuses the same seed.
+
+    - benford: 10**(3u), u uniform on [0, 1), a log-uniform over
+      [1, 1000).  A log-uniform spanning whole decades has first digits
+      distributed exactly by the logarithmic law.
+    - uniform_digit: (d + f) * 10**k with digit d uniform on {1..9},
+      mantissa offset f uniform on [0, 1) and decade k uniform on
+      {0, 1}, so the first digit equals the drawn d by construction.
+    - constant: ones, the degenerate single-digit sample.
+    """
+    rng = _generator(spec.seed)
     if spec.kind == "benford":
-        values = gen_benford(spec.n, spec.seed)
+        values = 10.0 ** (3.0 * rng.random(spec.n))
     elif spec.kind == "uniform_digit":
-        values = gen_uniform_digit(spec.n, spec.seed)
+        d = rng.integers(1, 10, size=spec.n)
+        f = rng.random(spec.n)
+        k = rng.integers(0, 2, size=spec.n)
+        values = (d + f) * 10.0 ** k
     else:
-        values = gen_constant(spec.n)
+        values = np.ones(spec.n)
     if spec.manipulation is not None:
         fraction, digit = spec.manipulation
         values = inject_manipulation(values, fraction, digit, spec.seed)
     return values
-
-
-def _weekday_column(start: date, n: int) -> np.ndarray:
-    # Monday to Friday is numpy's default business-day mask
-    return np.busday_offset(np.datetime64(start, "D"), np.arange(n), roll="forward")
-
-
-def weekday_dates(start: date, n: int) -> list[date]:
-    """The first n Monday-to-Friday dates on or after `start`."""
-    return _weekday_column(start, n).tolist()
 
 
 def synth_panel(
@@ -156,5 +122,6 @@ def synth_panel(
         raise ValueError("base spread must be positive")
     values = generate(spec)
     spreads = base_spread + np.concatenate([[0.0], np.cumsum(values)])
-    dates = _weekday_column(start, spec.n + 1)
+    # Monday to Friday is numpy's default business-day mask
+    dates = np.busday_offset(np.datetime64(start, "D"), np.arange(spec.n + 1), roll="forward")
     return SpreadSeries.from_columns(entity, tenor, dates, spreads)

@@ -16,7 +16,7 @@ import numpy as np
 
 import benfordtrack
 from benfordtrack import ChangeSeries
-from benfordtrack.synthetic import weekday_dates
+from benfordtrack.synthetic import SynthSpec, synth_panel
 
 
 def string_first_digit(x: float):
@@ -85,11 +85,8 @@ def enumerate_windows(n, length, step, min_fill):
 
 def make_change_series(values, start=date(2008, 8, 8), entity="X", tenor="5Y"):
     """A ChangeSeries over consecutive weekdays carrying `values`."""
-    dates = np.array(weekday_dates(start, len(values) + 1), dtype="datetime64[D]")
-    gaps = np.diff(dates).astype(np.int64)
-    return ChangeSeries(
-        entity, tenor, dates[1:], np.asarray(values, dtype=np.float64), gaps
-    )
+    dates = synth_panel(SynthSpec("constant", len(values), 0), start=start).dates
+    return ChangeSeries(entity, tenor, dates[1:], np.asarray(values, dtype=np.float64))
 
 
 def json_document(report) -> str:

@@ -15,7 +15,7 @@ EXPORTED = {
     "parse_panel", "serialize_panel",
     "PeriodSpec", "WindowResult", "WindowSpec", "analyze_period",
     "named_periods", "track", "window_ranges",
-    "SynthSpec", "gen_benford", "synth_panel",
+    "SynthSpec", "generate", "synth_panel",
     "Report", "TrendFit",
     "build_period_report", "build_track_report", "emit", "fit_trend",
     "__version__",
@@ -25,12 +25,7 @@ EXPORTED = {
 MODULE_ONLY = {
     "roman": "reporting",
     "mantissa_exponent": "digits",
-    "observed_frequencies": "digits",
-    "generate": "synthetic",
-    "gen_constant": "synthetic",
-    "gen_uniform_digit": "synthetic",
     "inject_manipulation": "synthetic",
-    "weekday_dates": "synthetic",
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,6 +52,20 @@ def test_readme_export_list_is_all():
     listing = _library_section().split("The top-level package exports:\n", 1)[1]
     names = re.findall(r"`([^`]+)`", listing.strip("\n").split("\n\n", 1)[0])
     assert sorted(names) == sorted(benfordtrack.__all__)
+
+
+def test_readme_helper_list_is_module_only():
+    text = " ".join(_library_section().split())
+    sentence = re.search(r"Helpers are imported from their modules: (.*?)\.(\s|$)", text)[1]
+    named, pending = {}, []
+    for token in re.findall(r"`([^`]+)`", sentence):
+        if token.startswith("benfordtrack."):
+            named.update((name, token.removeprefix("benfordtrack.")) for name in pending)
+            pending = []
+        else:
+            pending.append(token)
+    assert not pending
+    assert named == MODULE_ONLY
 
 
 def test_readme_library_example_runs(capsys):

@@ -79,14 +79,25 @@ def test_synth_manipulation_flags_must_pair(capsys):
     assert "together" in err
 
 
-def test_synth_rejects_bad_config_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--n", "0"], "--n must be at least 1"),
+        # labels that `analyze` could not read back
+        (["--entity", "A,B"], "entity 'A,B' is empty or holds a comma or line break"),
+        (["--entity", ""], "entity '' is empty or holds a comma or line break"),
+        (["--tenor", "5\nY"], "tenor '5\\nY' is empty or holds a comma or line break"),
+    ],
+)
+def test_synth_rejects_bad_config_before_writing(flags, message, tmp_path, capsys):
     out_file = tmp_path / "never.csv"
     code, _, err = run_cli(
-        ["synth", "--kind", "benford", "--n", "0", "--seed", "1",
-         "--out", str(out_file)],
+        ["synth", "--kind", "benford", "--n", "5", "--seed", "1",
+         "--out", str(out_file), *flags],
         capsys,
     )
     assert code == 1
+    assert message in err
     assert not out_file.exists()
 
 

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from benfordtrack import (
     DigitHistogram,
+    SynthSpec,
     benford_pmf,
     digit_histogram,
     first_significant_digit,
-    gen_benford,
+    generate,
 )
-from benfordtrack.digits import DIGITS, mantissa_exponent, observed_frequencies
+from benfordtrack.digits import mantissa_exponent
 from helpers import string_histogram
 
 # three-decimal reference frequencies for digits 1..9
@@ -149,7 +150,7 @@ def test_histogram_empty_input():
 
 
 def test_histogram_matches_string_oracle_on_generated_sample():
-    values = gen_benford(200, 7)
+    values = generate(SynthSpec("benford", 200, 7))
     counts, excluded = string_histogram(values)
     h = digit_histogram(values)
     assert h.counts == counts
@@ -196,7 +197,7 @@ def test_histogram_totals_add_up(values):
 def _scalar_rule_probes():
     values = []
     for e in range(-323, 309):
-        for d in DIGITS:
+        for d in range(1, 10):
             x = float(f"{d}e{e}")
             if math.isfinite(x):
                 values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
@@ -216,14 +217,14 @@ def test_histogram_equals_the_scalar_digit_of_every_value():
     groups = {}
     for v in _scalar_rule_probes():
         groups.setdefault(first_significant_digit(v), []).append(v)
-    assert set(groups) == {None, *DIGITS}
+    assert set(groups) == {None, *range(1, 10)}
     for digit, group in groups.items():
         for values in (group, np.array(group)):
             h = digit_histogram(values)
             if digit is None:
                 assert (h.counts, h.excluded) == ((0,) * 9, len(group))
             else:
-                want = tuple(len(group) if d == digit else 0 for d in DIGITS)
+                want = tuple(len(group) if d == digit else 0 for d in range(1, 10))
                 assert (h.counts, h.excluded) == (want, 0)
 
 
@@ -235,21 +236,3 @@ def test_histogram_validation():
     with pytest.raises(ValueError):
         DigitHistogram((-1,) + (1,) * 8)
 
-
-# ------------------------------------------------------- frequencies
-
-def test_observed_frequencies_basic():
-    h = DigitHistogram((3, 1, 0, 0, 0, 0, 0, 0, 0))
-    freq = observed_frequencies(h)
-    assert freq.tolist() == [0.75, 0.25, 0, 0, 0, 0, 0, 0, 0]
-
-
-def test_observed_frequencies_reproduce_reference_table():
-    h = DigitHistogram((301, 176, 125, 97, 79, 67, 58, 51, 46))
-    for got, want in zip(observed_frequencies(h), TABLE):
-        assert abs(got - want) <= 5e-4
-
-
-def test_observed_frequencies_empty_sample():
-    with pytest.raises(ValueError, match="empty sample"):
-        observed_frequencies(DigitHistogram((0,) * 9))

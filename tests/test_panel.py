@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 import tracemalloc
 from datetime import date, timedelta
 
@@ -23,7 +24,6 @@ from benfordtrack import (
 )
 from benfordtrack import panel
 from benfordtrack.panel import iso_date
-from benfordtrack.synthetic import weekday_dates
 
 GOOD = """date,entity,tenor,spread_bps
 
@@ -33,6 +33,9 @@ GOOD = """date,entity,tenor,spread_bps
 2010-01-05,Germany,10Y,55.25
 2010-01-05,France,5Y,30.0
 """
+
+# every line break of str.splitlines but "\n"
+_BREAKS = ("\r", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\u2028", "\u2029")
 
 
 # ------------------------------------------------------------- parsing
@@ -129,7 +132,7 @@ def _series(pairs):
     return SpreadSeries("X", "5Y", tuple(pairs))
 
 
-def test_daily_changes_values_and_gaps():
+def test_daily_changes_values_and_dtypes():
     s = _series(
         [
             (date(2010, 1, 4), 100.0),
@@ -140,13 +143,8 @@ def test_daily_changes_values_and_gaps():
     ch = daily_changes(s)
     assert ch.dates.tolist() == [date(2010, 1, 5), date(2010, 1, 8)]
     assert ch.changes.tolist() == [1.5, 0.0]
-    assert ch.gaps.tolist() == [1, 3]
     assert ch.dropped == 0
-    assert (ch.dates.dtype, ch.changes.dtype, ch.gaps.dtype) == (
-        np.dtype("datetime64[D]"),
-        np.dtype(np.float64),
-        np.dtype(np.int64),
-    )
+    assert (ch.dates.dtype, ch.changes.dtype) == (np.dtype("datetime64[D]"), np.dtype(np.float64))
     with pytest.raises(ValueError, match="read-only"):
         ch.slice(date(2010, 1, 5), date(2010, 1, 5)).changes[0] = 9.0
 
@@ -174,7 +172,7 @@ def test_daily_changes_gap_cap_drops_without_bridging():
 def test_daily_changes_default_keeps_every_gap():
     s = _series([(date(2010, 1, 1), 10.0), (date(2011, 6, 1), 20.0)])
     ch = daily_changes(s)
-    assert ch.gaps[0] == (date(2011, 6, 1) - date(2010, 1, 1)).days
+    assert (ch.dates.tolist(), ch.changes.tolist(), ch.dropped) == ([date(2011, 6, 1)], [10.0], 0)
 
 
 def test_daily_changes_validation():
@@ -208,8 +206,8 @@ def test_daily_changes_match_pairwise_oracle(offsets, spreads, cap):
         if cap is not None and gap > cap:
             dropped += 1
         else:
-            expected.append((d1, s1 - s0, gap))
-    got = zip(ch.dates.tolist(), ch.changes.tolist(), ch.gaps.tolist())
+            expected.append((d1, s1 - s0))
+    got = zip(ch.dates.tolist(), ch.changes.tolist())
     assert list(got) == expected
     assert ch.dropped == dropped
     assert len(ch.changes) + ch.dropped == len(obs) - 1
@@ -224,13 +222,12 @@ def _change_series(day_values, entity="X", tenor="5Y", dropped=0):
         tenor,
         np.array(days, dtype="datetime64[D]"),
         np.array(values, dtype=np.float64),
-        np.ones(len(days), dtype=np.int64),
         dropped,
     )
 
 
 def _columns(s):
-    return s.dates.tolist(), s.changes.tolist(), s.gaps.tolist()
+    return s.dates.tolist(), s.changes.tolist()
 
 
 def test_slice_bounds_are_inclusive():
@@ -248,7 +245,7 @@ def test_slice_bounds_are_inclusive():
 
 def test_slice_can_be_empty():
     s = _change_series([(date(2010, 1, 1), 1.0)])
-    assert _columns(s.slice(date(2011, 1, 1), date(2011, 2, 1))) == ([], [], [])
+    assert _columns(s.slice(date(2011, 1, 1), date(2011, 2, 1))) == ([], [])
 
 
 def test_slice_rejects_reversed_bounds():
@@ -334,6 +331,30 @@ def test_from_columns_validates_like_the_pair_constructor(days, spreads, message
         SpreadSeries.from_columns("X", "5Y", np.array(days, "datetime64[D]"), spreads)
 
 
+@pytest.mark.parametrize("field", ["entity", "tenor"])
+def test_labels_must_be_writable_as_panel_csv(field):
+    day = np.array(["2010-01-04"], "datetime64[D]")
+    for bad in ("", ",", "A,B", "A\nB", *(f"A{mark}B" for mark in _BREAKS)):
+        labels = {"entity": "X", "tenor": "5Y", field: bad}
+        message = rf"^{field} {re.escape(repr(bad))} is empty or holds a comma or line break$"
+        with pytest.raises(ValueError, match=message):
+            SpreadSeries(labels["entity"], labels["tenor"], ((date(2010, 1, 4), 1.0),))
+        with pytest.raises(ValueError, match=message):
+            SpreadSeries.from_columns(labels["entity"], labels["tenor"], day, [1.0])
+
+
+_LABEL = st.text(st.characters(exclude_characters=",\n" + "".join(_BREAKS)), min_size=1)
+
+
+@given(entity=_LABEL, tenor=_LABEL)
+def test_accepted_labels_round_trip_through_csv(entity, tenor):
+    s = SpreadSeries(entity, tenor, ((date(2010, 1, 4), 40.0), (date(2010, 1, 5), 41.5)))
+    (back,) = parse_panel(serialize_panel([s]))
+    assert (back.entity, back.tenor) == (entity, tenor)
+    assert back.dates.tolist() == s.dates.tolist()
+    assert back.spreads.tolist() == s.spreads.tolist()
+
+
 def test_iso_date_accepts_exactly_the_ten_character_form():
     assert iso_date("2010-01-05") == date(2010, 1, 5)
     assert iso_date("0001-01-01") == date.min
@@ -399,7 +420,6 @@ _ODD_SPREADS = ("1_0", "nan", "1e400", "0", "-1", "inf", "-0.0", "1e-400", "", "
                 "4.5 ", "4.5\x1f", "0x10", "\u0664\u0662", "4,5")
 _BAD_DATES = ("20100105", "2010-W01-2", "2010-01", "2010-1-5", "2010-02-30",
               "0000-01-01", " 2010-01-05", "2010-01-05T00:00", "")
-_BREAKS = ("\r", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\u2028", "\u2029")
 
 
 def _mutated_panel(rng: random.Random) -> str:
@@ -407,8 +427,9 @@ def _mutated_panel(rng: random.Random) -> str:
     series = []
     for entity in rng.sample(["DE", "FR", "IT", "A_B", "Z\u00e9", "x y"], rng.randint(1, 3)):
         for tenor in rng.sample(["5Y", "10Y", "1Y"], rng.randint(1, 2)):
-            days = weekday_dates(date(2010, 1, 1) + timedelta(rng.randrange(30)),
-                                 rng.randint(1, 6))
+            start = date(2010, 1, 1) + timedelta(rng.randrange(30))
+            n = rng.randint(1, 6)
+            days = synth_panel(SynthSpec("constant", n, 0), start=start).dates[:n].tolist()
             pairs = [(d, rng.choice([round(rng.uniform(1, 500), 2), rng.uniform(0.1, 9)]))
                      for d in days]
             series.append(SpreadSeries(entity, tenor, pairs))

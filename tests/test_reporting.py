@@ -10,6 +10,7 @@ import pytest
 from benfordtrack import (
     ConformityStats,
     Report,
+    SynthSpec,
     TrendFit,
     WindowResult,
     WindowSpec,
@@ -18,7 +19,7 @@ from benfordtrack import (
     build_track_report,
     emit,
     fit_trend,
-    gen_benford,
+    generate,
     named_periods,
     track,
 )
@@ -130,7 +131,7 @@ def _panel():
         for tenor in ("10Y", "5Y"):
             out.append(
                 make_change_series(
-                    list(gen_benford(1750, seed=seed)),
+                    list(generate(SynthSpec("benford", 1750, seed))),
                     start=date(2008, 8, 8),
                     entity=entity,
                     tenor=tenor,
@@ -158,7 +159,7 @@ def test_build_period_report_row_grid():
 
 def test_build_period_report_annotates_uncoverable_periods():
     late = make_change_series(
-        list(gen_benford(200, seed=1)), start=date(2011, 3, 1), entity="GR"
+        list(generate(SynthSpec("benford", 200, 1))), start=date(2011, 3, 1), entity="GR"
     )
     report = build_period_report([late], named_periods())
     by_period = {r["period"]: r for r in _cells_of(report)}
@@ -177,8 +178,8 @@ def test_build_period_report_meta_passthrough():
 
 def test_build_track_report_counts_rows_and_trends():
     panel = [
-        make_change_series(list(gen_benford(400, seed=1)), entity="AT"),
-        make_change_series(list(gen_benford(400, seed=2)), entity="DE"),
+        make_change_series(list(generate(SynthSpec("benford", 400, 1))), entity="AT"),
+        make_change_series(list(generate(SynthSpec("benford", 400, 2))), entity="DE"),
     ]
     report = build_track_report(panel, WindowSpec())
     # 400 observations make seven full windows plus one 85-long tail
@@ -189,7 +190,7 @@ def test_build_track_report_counts_rows_and_trends():
 
 
 def test_build_track_report_single_window_has_no_trends():
-    panel = [make_change_series(list(gen_benford(50, seed=1)))]
+    panel = [make_change_series(list(generate(SynthSpec("benford", 50, 1))))]
     report = build_track_report(panel, WindowSpec())
     assert len(report.rows) == 1
     assert report.trends == ()
@@ -198,11 +199,11 @@ def test_build_track_report_single_window_has_no_trends():
 # ----------------------------------------------------------- row schema
 
 def test_rows_hold_python_scalars_in_column_order():
-    covered = make_change_series(list(gen_benford(400, seed=5)), entity="AT")
+    covered = make_change_series(list(generate(SynthSpec("benford", 400, 5))), entity="AT")
     late = make_change_series(
-        list(gen_benford(200, seed=1)), start=date(2011, 3, 1), entity="GR"
+        list(generate(SynthSpec("benford", 200, 1))), start=date(2011, 3, 1), entity="GR"
     )
-    single = make_change_series(list(gen_benford(50, seed=2)), entity="PT")
+    single = make_change_series(list(generate(SynthSpec("benford", 50, 2))), entity="PT")
     period = build_period_report([covered, late], named_periods())
     windows = build_track_report([covered, single], WindowSpec())
     assert (period.columns, period.trends) == (PERIOD_COLUMNS, None)
@@ -219,7 +220,7 @@ def test_rows_hold_python_scalars_in_column_order():
 
 
 def test_rows_copy_each_measurement_into_its_column():
-    s = make_change_series(list(gen_benford(400, seed=6)), entity="AT")
+    s = make_change_series(list(generate(SynthSpec("benford", 400, 6))), entity="AT")
     full = named_periods()[0]
     (row,) = build_period_report([s], [full], alpha=0.1).rows
     c = analyze_period(s, full, 0.1)
@@ -255,7 +256,7 @@ def test_period_text_layout():
 
 
 def test_track_text_uses_roman_window_labels():
-    panel = [make_change_series(list(gen_benford(400, seed=1)), entity="AT")]
+    panel = [make_change_series(list(generate(SynthSpec("benford", 400, 1))), entity="AT")]
     report = build_track_report(panel, WindowSpec())
     text = emit(report, "text")
     lines = text.splitlines()
@@ -278,7 +279,7 @@ def test_period_csv_is_exact():
 
 
 def test_csv_floats_round_trip_exactly():
-    panel = [make_change_series(list(gen_benford(1750, seed=4)))]
+    panel = [make_change_series(list(generate(SynthSpec("benford", 1750, 4))))]
     report = build_period_report(panel, named_periods())
     body = emit(report, "csv").splitlines()[1:]
     for row, line in zip(_cells_of(report), body):
@@ -288,7 +289,7 @@ def test_csv_floats_round_trip_exactly():
 
 
 def test_track_csv_layout():
-    panel = [make_change_series(list(gen_benford(90, seed=1)), entity="AT")]
+    panel = [make_change_series(list(generate(SynthSpec("benford", 90, 1))), entity="AT")]
     report = build_track_report(panel, WindowSpec())
     lines = emit(report, "csv").splitlines()
     assert lines[0] == ",".join(TRACK_COLUMNS)
@@ -314,7 +315,7 @@ def test_period_json_document():
 
 
 def test_track_json_document_nests_trends():
-    panel = [make_change_series(list(gen_benford(400, seed=1)), entity="AT")]
+    panel = [make_change_series(list(generate(SynthSpec("benford", 400, 1))), entity="AT")]
     report = build_track_report(panel, WindowSpec())
     doc = json.loads(emit(report, "json"))
     assert set(doc) == {"meta", "rows", "trends"}
@@ -339,7 +340,7 @@ def test_canonical_json_refuses_nan():
 
 
 def test_json_emission_round_trips_float_values():
-    panel = [make_change_series(list(gen_benford(300, seed=8)))]
+    panel = [make_change_series(list(generate(SynthSpec("benford", 300, 8))))]
     report = build_track_report(panel, WindowSpec())
     doc = json.loads(emit(report, "json"))
     for row, entry in zip(_cells_of(report), doc["rows"]):
@@ -365,7 +366,7 @@ def _awkward_report(rows, trends=()):
 @pytest.mark.parametrize("build", ["period", "track"])
 def test_json_rows_equal_the_dict_document(build):
     panel = [
-        make_change_series(list(gen_benford(400, seed=s)), entity=e)
+        make_change_series(list(generate(SynthSpec("benford", 400, s))), entity=e)
         for s, e in ((1, "AT"), (2, 'B"E'), (3, "caf\u00e9"))
     ]
     if build == "period":
@@ -405,6 +406,12 @@ def test_json_refuses_a_numpy_cell():
 
 # ------------------------------------------------------------ emit guard
 
+@pytest.mark.parametrize("rows,bad", [((("x",), ("y", 2)), 0), ((("x", 1), ("y", 2, 3)), 1)])
+def test_report_rejects_a_row_of_another_length(rows, bad):
+    with pytest.raises(ValueError, match=f"^row {bad} holds {len(rows[bad])} cells, not 2$"):
+        Report(("a", "b"), rows, {})
+
+
 def test_emit_rejects_unknown_format_and_type():
     report = _tiny_period_report()
     with pytest.raises(ValueError, match="format"):
@@ -414,7 +421,7 @@ def test_emit_rejects_unknown_format_and_type():
 
 
 def test_emission_is_deterministic_across_calls():
-    panel = [make_change_series(list(gen_benford(400, seed=3)))]
+    panel = [make_change_series(list(generate(SynthSpec("benford", 400, 3))))]
     for fmt in ("text", "csv", "json"):
         a = emit(build_track_report(panel, WindowSpec()), fmt)
         b = emit(build_track_report(panel, WindowSpec()), fmt)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from benfordtrack import (
     PeriodSpec,
+    SynthSpec,
     WindowSpec,
     analyze_period,
     conformity,
     digit_histogram,
-    gen_benford,
+    generate,
     named_periods,
     track,
     window_ranges,
@@ -176,7 +177,7 @@ def test_window_ranges_partition_when_step_equals_length():
 # -------------------------------------------------------- period slicing
 
 def test_analyze_period_slices_by_date():
-    series = make_change_series(list(gen_benford(300, seed=3)))
+    series = make_change_series(list(generate(SynthSpec("benford", 300, 3))))
     dates = series.dates.tolist()
     mid = dates[150]
     period = PeriodSpec("head", dates[0], mid)
@@ -195,13 +196,13 @@ def test_analyze_period_empty_slice_raises():
 
 
 def test_sub_periods_concatenate_to_post2010():
-    values = list(gen_benford(1750, seed=11))
+    values = list(generate(SynthSpec("benford", 1750, 11)))
     series = make_change_series(values, start=date(2008, 8, 8))
     periods = {p.label: p for p in named_periods()}
     crisis = series.slice(periods["crisis"].start, periods["crisis"].end)
     post = series.slice(periods["post_crisis"].start, periods["post_crisis"].end)
     both = series.slice(periods["post2010"].start, periods["post2010"].end)
-    for column in ("dates", "changes", "gaps"):
+    for column in ("dates", "changes"):
         joined = np.concatenate([getattr(crisis, column), getattr(post, column)])
         assert np.array_equal(joined, getattr(both, column))
     merged = conformity(
@@ -213,7 +214,7 @@ def test_sub_periods_concatenate_to_post2010():
 # --------------------------------------------------------------- tracks
 
 def test_track_reference_panel_geometry():
-    series = make_change_series(list(gen_benford(1750, seed=5)))
+    series = make_change_series(list(generate(SynthSpec("benford", 1750, 5))))
     results = track(series, WindowSpec())
     assert len(results) == 38
     assert [w.index for w in results] == list(range(1, 39))
@@ -225,7 +226,7 @@ def test_track_reference_panel_geometry():
 
 
 def test_track_windows_match_direct_conformity():
-    values = list(gen_benford(400, seed=9))
+    values = list(generate(SynthSpec("benford", 400, 9)))
     series = make_change_series(values)
     spec = WindowSpec(length=100, step=50, min_fill=0.5)
     results = track(series, spec)
@@ -239,7 +240,7 @@ def test_track_windows_match_direct_conformity():
 
 
 def test_track_window_dates_come_from_the_data():
-    series = make_change_series(list(gen_benford(90, seed=2)))
+    series = make_change_series(list(generate(SynthSpec("benford", 90, 2))))
     results = track(series, WindowSpec())
     assert len(results) == 2
     assert results[0].sample_size == 90
@@ -263,11 +264,9 @@ def test_track_all_zero_window_raises():
 def test_track_group_means_separate_clean_from_shifted():
     # windows drawn from digit-uniform data must sit far above windows
     # drawn from Benford data, consistently across seeds
-    from benfordtrack.synthetic import gen_uniform_digit
-
     for seed in (1, 2, 3):
-        clean = make_change_series(list(gen_benford(900, seed=seed)))
-        noisy = make_change_series(list(gen_uniform_digit(900, seed=seed)))
+        clean = make_change_series(list(generate(SynthSpec("benford", 900, seed))))
+        noisy = make_change_series(list(generate(SynthSpec("uniform_digit", 900, seed))))
         clean_chi = [w.stats.chi_square for w in track(clean, WindowSpec())]
         noisy_chi = [w.stats.chi_square for w in track(noisy, WindowSpec())]
         clean_mean = sum(clean_chi) / len(clean_chi)
