@@ -151,12 +151,13 @@ def _read_input(path: str) -> str:
 
 
 def _write_output(path: str, text: str) -> None:
+    data = text.encode("utf-8")  # a lone surrogate from argv fails before any output
     if path == "-":
         sys.stdout.write(text)
         sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _closed_pipe() -> int:
@@ -274,7 +275,7 @@ def _cmd_synth(parser: _Parser, args) -> int:
         _write_output(args.out, serialize_panel([series]))
     except BrokenPipeError:
         return _closed_pipe()
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

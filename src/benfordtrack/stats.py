@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,15 +57,13 @@ def chi_square_statistic(h: DigitHistogram) -> float:
     total = h.total
     if total == 0:
         raise ValueError("empty sample")
-    return _chi_square(np.asarray(h.counts, dtype=float), total)
+    return float(_chi_square(np.asarray(h.counts, dtype=float), float(total)))
 
 
-def _chi_square(counts: np.ndarray, total: int) -> float:
-    expected = total * _REF
-    gap = counts - expected
-    gap *= gap
-    gap /= expected
-    return float(gap.sum())
+def _chi_square(counts: np.ndarray, totals) -> np.ndarray:
+    """Chi-square over the last axis; `totals` broadcasts against `counts`."""
+    expected = totals * _REF
+    return ((counts - expected) ** 2 / expected).sum(axis=-1)
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
@@ -169,12 +168,11 @@ def _frequency_vector(v) -> np.ndarray:
 
 def chebyshev_distance(p_obs, p_ref) -> float:
     """Maximum absolute componentwise gap between two frequency vectors."""
-    return _chebyshev(_frequency_vector(p_obs), _frequency_vector(p_ref))
+    return float(_chebyshev(_frequency_vector(p_obs), _frequency_vector(p_ref)))
 
 
-def _chebyshev(p: np.ndarray, q: np.ndarray) -> float:
-    gap = p - q
-    return float(np.abs(gap, out=gap).max())
+def _chebyshev(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.abs(p - q).max(axis=-1)
 
 
 def kl_divergence(p_obs, p_ref) -> float:
@@ -197,41 +195,42 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float((pm * (np.log(pm) - np.log(q[mask]))).sum())
 
 
-def conformity(h: DigitHistogram, alpha: float = 0.05) -> ConformityStats:
-    """Full conformity measurement of a digit histogram at level `alpha`.
+def conformity(
+    histograms: Sequence[DigitHistogram], alpha: float = 0.05
+) -> list[ConformityStats]:
+    """Conformity of each digit histogram at level `alpha`, in order.
 
     The verdict is "accept" exactly when the p-value is at least alpha,
     which matches thresholding the statistic at critical_value(alpha).
     Samples smaller than SMALL_SAMPLE_MIN are flagged, never dropped.
-    The three measures share one count vector and one reference vector,
-    both valid by construction, so the per-argument checks of
-    chebyshev_distance and kl_divergence are not repeated here.  When
-    all nine digits occur, KL reads the precomputed log of the
-    reference; that sums the same terms in the same order as the masked
-    route, so the result is bit-identical.
+    The measures reduce the rows of one (k x 9) count matrix, each row
+    with the bits of its histogram measured alone.  Rows where all nine
+    digits occur read the log of the reference, summing the terms of
+    `_kl` in its order; other rows take `_kl`, as a masked row-wise sum
+    would regroup the additions.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    total = h.total
-    if total == 0:
+    totals = [h.total for h in histograms]
+    if 0 in totals:
         raise ValueError("empty sample")
-    counts = np.asarray(h.counts, dtype=float)
-    stat = _chi_square(counts, total)
-    p = chi_square_pvalue(stat, DEGREES_OF_FREEDOM)
-    freq = counts / total
-    if min(h.counts) > 0:
-        log_ratio = np.log(freq)
-        log_ratio -= _LOG_REF
-        log_ratio *= freq
-        kl = float(log_ratio.sum())
-    else:
-        kl = _kl(freq, _REF)
-    return ConformityStats(
-        chi_square=stat,
-        p_value=p,
-        verdict="accept" if p >= alpha else "reject",
-        chebyshev=_chebyshev(freq, _REF),
-        kl_divergence=kl,
-        sample_size=total,
-        small_sample_flag=total < SMALL_SAMPLE_MIN,
-    )
+    counts = np.array([h.counts for h in histograms], dtype=float).reshape(len(totals), 9)
+    scale = np.array(totals, dtype=float)[:, None]
+    freq = counts / scale
+    # an absent digit takes the log of 1, and its row is redone by `_kl`
+    log_ratio = np.log(freq + (counts == 0.0))
+    log_ratio -= _LOG_REF
+    log_ratio *= freq
+    kl = log_ratio.sum(axis=1)
+    for i, h in enumerate(histograms):
+        if 0 in h.counts:
+            kl[i] = _kl(freq[i], _REF)
+    chi2 = _chi_square(counts, scale).tolist()
+    p_values = [chi_square_pvalue(stat, DEGREES_OF_FREEDOM) for stat in chi2]
+    measures = zip(totals, chi2, p_values, _chebyshev(freq, _REF).tolist(), kl.tolist())
+    return [
+        ConformityStats(
+            stat, p, "accept" if p >= alpha else "reject", cheb, div, n, n < SMALL_SAMPLE_MIN
+        )
+        for n, stat, p, cheb, div in measures
+    ]

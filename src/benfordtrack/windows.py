@@ -108,7 +108,7 @@ def analyze_period(
     sliced = series.slice(period.start, period.end)
     if len(sliced.changes) == 0:
         raise ValueError(f"empty slice for period '{period.label}'")
-    return conformity(digit_histogram(sliced.changes), alpha)
+    return conformity([digit_histogram(sliced.changes)], alpha)[0]
 
 
 def track(
@@ -118,15 +118,14 @@ def track(
 ) -> list[WindowResult]:
     """Conformity through rolling windows, in window order.
 
-    Each window is dated by its first and last observation.  A window
-    consisting entirely of zero changes has no digits to test and
-    raises the empty-sample error.
+    Each window is dated by its first and last observation, and one
+    conformity call measures all windows.  A window of only zero
+    changes has no digits to test and raises the empty-sample error.
     """
-    results = []
     dates = series.dates.tolist()
-    for index, r in enumerate(window_ranges(len(dates), spec), start=1):
-        stats = conformity(digit_histogram(series.changes[r.start : r.stop]), alpha)
-        results.append(
-            WindowResult(index, dates[r.start], dates[r.stop - 1], len(r), stats)
-        )
-    return results
+    ranges = window_ranges(len(dates), spec)
+    histograms = [digit_histogram(series.changes[r.start : r.stop]) for r in ranges]
+    return [
+        WindowResult(index, dates[r.start], dates[r.stop - 1], len(r), stats)
+        for index, (r, stats) in enumerate(zip(ranges, conformity(histograms, alpha)), 1)
+    ]

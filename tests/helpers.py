@@ -2,8 +2,9 @@
 
 Everything here re-derives expected behavior through a different route
 than the library takes: decimal-string digit scanning, plain-Python
-formula evaluation, adaptive quadrature, step-by-step window
-enumeration, and JSON through a dict document and json.dumps.
+formula evaluation, conformity one histogram at a time, adaptive
+quadrature, step-by-step window enumeration, and JSON through a dict
+document and json.dumps.
 """
 
 import json
@@ -15,7 +16,14 @@ from decimal import Decimal
 import numpy as np
 
 import benfordtrack
-from benfordtrack import ChangeSeries
+from benfordtrack import (
+    DEGREES_OF_FREEDOM,
+    SMALL_SAMPLE_MIN,
+    ChangeSeries,
+    ConformityStats,
+    benford_pmf,
+    chi_square_pvalue,
+)
 from benfordtrack.synthetic import SynthSpec, synth_panel
 
 
@@ -55,6 +63,47 @@ def direct_chebyshev(p, q):
 
 def direct_kl(p, q):
     return sum(a * math.log(a / b) for a, b in zip(p, q) if a > 0.0)
+
+
+def scalar_conformity(h, alpha=0.05) -> ConformityStats:
+    """Conformity of one histogram, measured on its own length-9 vectors.
+
+    The reference for the row-wise `conformity`: the same formulas
+    reduced over one vector at a time, with KL read from the log of the
+    whole reference when all nine digits occur and masked otherwise.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    total = h.total
+    if total == 0:
+        raise ValueError("empty sample")
+    ref = benford_pmf()
+    counts = np.asarray(h.counts, dtype=float)
+    expected = total * ref
+    gap = counts - expected
+    gap *= gap
+    gap /= expected
+    stat = float(gap.sum())
+    p = chi_square_pvalue(stat, DEGREES_OF_FREEDOM)
+    freq = counts / total
+    if min(h.counts) > 0:
+        log_ratio = np.log(freq)
+        log_ratio -= np.log(ref)
+        log_ratio *= freq
+        kl = float(log_ratio.sum())
+    else:
+        mask = freq > 0.0
+        pm = freq[mask]
+        kl = float((pm * (np.log(pm) - np.log(ref[mask]))).sum())
+    return ConformityStats(
+        chi_square=stat,
+        p_value=p,
+        verdict="accept" if p >= alpha else "reject",
+        chebyshev=float(np.abs(freq - ref).max()),
+        kl_divergence=kl,
+        sample_size=total,
+        small_sample_flag=total < SMALL_SAMPLE_MIN,
+    )
 
 
 def chi2_tail_quad(stat: float, df: int = 8) -> float:

@@ -82,7 +82,7 @@ def test_criterion_3_type_one_error_calibration():
     rejections = 0
     seeds = 1000
     for seed in range(seeds):
-        stats = conformity(digit_histogram(generate(SynthSpec("benford", 1500, seed))))
+        stats = conformity([digit_histogram(generate(SynthSpec("benford", 1500, seed)))])[0]
         rejections += stats.verdict == "reject"
     rate = rejections / seeds
     elapsed = time.perf_counter() - t0
@@ -95,7 +95,9 @@ def test_criterion_4_power_against_uniform_and_manipulation():
     seeds = 1000
     uniform_rejections = 0
     for seed in range(seeds):
-        stats = conformity(digit_histogram(generate(SynthSpec("uniform_digit", 500, seed))))
+        stats = conformity(
+            [digit_histogram(generate(SynthSpec("uniform_digit", 500, seed)))]
+        )[0]
         uniform_rejections += stats.verdict == "reject"
     uniform_rate = uniform_rejections / seeds
     manip_rejections = 0
@@ -103,7 +105,7 @@ def test_criterion_4_power_against_uniform_and_manipulation():
         values = inject_manipulation(
             generate(SynthSpec("benford", 1500, seed)), 0.3, seed % 9 + 1, seed=seed
         )
-        stats = conformity(digit_histogram(values))
+        stats = conformity([digit_histogram(values)])[0]
         manip_rejections += stats.verdict == "reject"
     manip_rate = manip_rejections / seeds
     elapsed = time.perf_counter() - t0

@@ -63,6 +63,23 @@ def test_synth_to_stdout(capsys):
     assert len(out.splitlines()) == 5
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_synth_label_that_is_not_utf8_is_a_data_error(to_file, tmp_path):
+    # argv bytes that are not UTF-8 reach the program as lone surrogates
+    out = tmp_path / "f.csv"
+    argv = [sys.executable, "-m", "benfordtrack", "synth", "--kind", "benford",
+            "--n", "3", "--seed", "1", "--entity", b"A\xff"]
+    if to_file:
+        argv += ["--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, env=cli_env(), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode("utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "surrogates not allowed" in lines[0]
+    assert not out.exists()
+
+
 def test_synth_requires_a_seed(capsys):
     code, out, err = run_cli(["synth", "--kind", "benford", "--n", "10"], capsys)
     assert code == 1

@@ -1,6 +1,7 @@
 """Chi-square statistic and p-value, Chebyshev and KL distances."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from benfordtrack import (
     SMALL_SAMPLE_MIN,
+    ConformityStats,
     DigitHistogram,
     benford_pmf,
     chebyshev_distance,
@@ -18,7 +20,13 @@ from benfordtrack import (
     critical_value,
     kl_divergence,
 )
-from helpers import chi2_tail_quad, direct_chebyshev, direct_chi2, direct_kl
+from helpers import (
+    chi2_tail_quad,
+    direct_chebyshev,
+    direct_chi2,
+    direct_kl,
+    scalar_conformity,
+)
 
 UNIFORM = tuple([1.0 / 9.0] * 9)
 
@@ -243,7 +251,7 @@ def test_kl_nonnegative_with_equality_iff_equal(p, q):
 
 def test_conformity_accept_on_near_reference_counts():
     h = DigitHistogram((301, 176, 125, 97, 79, 67, 58, 51, 46))
-    st_out = conformity(h, 0.05)
+    st_out = conformity([h], 0.05)[0]
     assert st_out.verdict == "accept"
     assert st_out.p_value > 0.9
     assert st_out.sample_size == 1000
@@ -251,32 +259,32 @@ def test_conformity_accept_on_near_reference_counts():
 
 
 def test_conformity_reject_on_uniform_counts():
-    st_out = conformity(DigitHistogram((100,) * 9), 0.05)
+    st_out = conformity([DigitHistogram((100,) * 9)], 0.05)[0]
     assert st_out.verdict == "reject"
     assert st_out.p_value < 1e-10
 
 
 def test_conformity_verdict_threshold_is_p_value_vs_alpha():
     h = DigitHistogram((56, 29, 27, 22, 22, 13, 12, 11, 8))
-    st_out = conformity(h, 0.05)
+    st_out = conformity([h], 0.05)[0]
     assert st_out.verdict == ("accept" if st_out.p_value >= 0.05 else "reject")
     # verdict flips once alpha crosses the p-value
-    assert conformity(h, min(st_out.p_value / 2, 0.99)).verdict == "accept"
+    assert conformity([h], min(st_out.p_value / 2, 0.99))[0].verdict == "accept"
 
 
 def test_conformity_verdict_agrees_with_critical_value():
     for counts in [(301, 176, 125, 97, 79, 67, 58, 51, 46), (100,) * 9]:
-        st_out = conformity(DigitHistogram(counts), 0.05)
+        st_out = conformity([DigitHistogram(counts)], 0.05)[0]
         accept = st_out.chi_square <= critical_value(0.05, 8)
         assert (st_out.verdict == "accept") == accept
 
 
 def test_conformity_small_sample_flag_threshold():
-    assert conformity(DigitHistogram((50, 8, 4, 3, 2, 2, 2, 2, 2))).small_sample_flag
+    assert conformity([DigitHistogram((50, 8, 4, 3, 2, 2, 2, 2, 2))])[0].small_sample_flag
     low = DigitHistogram((SMALL_SAMPLE_MIN - 1,) + (0,) * 8)
     high = DigitHistogram((SMALL_SAMPLE_MIN,) + (0,) * 8)
-    assert conformity(low).small_sample_flag
-    assert not conformity(high).small_sample_flag
+    assert conformity([low])[0].small_sample_flag
+    assert not conformity([high])[0].small_sample_flag
 
 
 def _single_bin(digit_and_count):
@@ -297,11 +305,52 @@ _histograms = st.one_of(
 @example(counts=(1,) + (0,) * 8)
 def test_conformity_carries_both_distances(counts):
     h = DigitHistogram(counts)
-    st_out = conformity(h)
+    st_out = conformity([h])[0]
     freq = np.asarray(h.counts, dtype=float) / h.total
     assert st_out.chi_square == chi_square_statistic(h)
     assert st_out.chebyshev == chebyshev_distance(freq, benford_pmf())
     assert st_out.kl_divergence == kl_divergence(freq, benford_pmf())
+
+
+def _assert_same_bits(got: ConformityStats, want: ConformityStats) -> None:
+    for field in fields(ConformityStats):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        assert a.hex() == b.hex() if isinstance(b, float) else a == b, field.name
+
+
+@given(
+    batch=st.lists(_histograms, min_size=1, max_size=60),
+    alpha=st.floats(0.001, 0.999),
+)
+@example(batch=[(1,) + (0,) * 8, (100,) * 9, (0,) * 8 + (2**80,)], alpha=0.05)
+def test_conformity_rows_equal_the_scalar_oracle_in_order(batch, alpha):
+    histograms = [DigitHistogram(counts) for counts in batch]
+    rows = conformity(histograms, alpha)
+    assert len(rows) == len(histograms)
+    for h, row in zip(histograms, rows):
+        _assert_same_bits(row, scalar_conformity(h, alpha))
+    assert conformity(histograms[::-1], alpha) == rows[::-1]
+
+
+_CALIBRATION_DRAWS = 50_000
+
+
+@pytest.mark.parametrize("n", [20, 45, 90])
+def test_small_samples_keep_the_nominal_size(n):
+    # The size of the nominal 5% test on samples far below SMALL_SAMPLE_MIN,
+    # from multinomial samples of the reference law measured in one batch.
+    # The tolerance is five binomial standard errors of the nominal rate
+    # (0.0049 at 50,000 draws); earlier measured sizes were 0.0522 at
+    # n=20, 0.0508 at n=45 and 0.0502 at n=90.
+    alpha = 0.05
+    rng = np.random.Generator(np.random.PCG64(20_450 + n))
+    draws = rng.multinomial(n, benford_pmf(), size=_CALIBRATION_DRAWS)
+    rows = conformity(list(map(DigitHistogram, map(tuple, draws.tolist()))), alpha)
+    assert all(row.small_sample_flag for row in rows)
+    rate = sum(row.verdict == "reject" for row in rows) / _CALIBRATION_DRAWS
+    tolerance = 5.0 * math.sqrt(alpha * (1.0 - alpha) / _CALIBRATION_DRAWS)
+    assert abs(rate - alpha) <= tolerance
 
 
 def test_log_of_the_reference_commutes_with_every_support_mask():
@@ -315,13 +364,19 @@ def test_log_of_the_reference_commutes_with_every_support_mask():
 
 def test_conformity_is_reproducible():
     h = DigitHistogram((56, 29, 27, 22, 22, 13, 12, 11, 8))
-    assert conformity(h, 0.05) == conformity(h, 0.05)
+    assert conformity([h], 0.05)[0] == conformity([h], 0.05)[0]
 
 
 def test_conformity_validation():
     with pytest.raises(ValueError, match="empty sample"):
-        conformity(DigitHistogram((0,) * 9))
+        conformity([DigitHistogram((0,) * 9)])
     with pytest.raises(ValueError):
-        conformity(DigitHistogram((1,) * 9), alpha=0.0)
+        conformity([DigitHistogram((1,) * 9)], alpha=0.0)
     with pytest.raises(ValueError):
-        conformity(DigitHistogram((1,) * 9), alpha=1.0)
+        conformity([DigitHistogram((1,) * 9)], alpha=1.0)
+    # a batch: any empty histogram in it fails the call; no histograms, no rows
+    with pytest.raises(ValueError, match="empty sample"):
+        conformity([DigitHistogram((1,) * 9), DigitHistogram((0,) * 9, excluded=4)])
+    assert conformity([]) == []
+    with pytest.raises(ValueError, match="alpha"):
+        conformity([], alpha=1.0)

@@ -183,8 +183,8 @@ def test_analyze_period_slices_by_date():
     period = PeriodSpec("head", dates[0], mid)
     stats = analyze_period(series, period)
     manual = conformity(
-        digit_histogram([v for d, v in zip(dates, series.changes) if d <= mid])
-    )
+        [digit_histogram([v for d, v in zip(dates, series.changes) if d <= mid])]
+    )[0]
     assert stats == manual
 
 
@@ -206,8 +206,8 @@ def test_sub_periods_concatenate_to_post2010():
         joined = np.concatenate([getattr(crisis, column), getattr(post, column)])
         assert np.array_equal(joined, getattr(both, column))
     merged = conformity(
-        digit_histogram(list(crisis.changes) + list(post.changes))
-    )
+        [digit_histogram(list(crisis.changes) + list(post.changes))]
+    )[0]
     assert analyze_period(series, periods["post2010"]) == merged
 
 
@@ -232,7 +232,7 @@ def test_track_windows_match_direct_conformity():
     results = track(series, spec)
     for w, r in zip(results, window_ranges(len(values), spec)):
         chunk = values[r.start : r.stop]
-        direct = conformity(digit_histogram(chunk))
+        direct = conformity([digit_histogram(chunk)])[0]
         assert w.stats == direct
         assert w.start_date == series.dates[r.start].item()
         assert w.end_date == series.dates[r.stop - 1].item()
