@@ -25,6 +25,7 @@ CHANGE_MODES = ("absolute", "relative")
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64's day 0
 _FIRST_DAY = np.datetime64(date.min, "D")
 _LAST_DAY = np.datetime64(date.max, "D")
+_DAY_SPAN = date.max.toordinal() - date.min.toordinal() + 1
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
@@ -263,76 +264,85 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     if any(mark in text for mark in _OTHER_BREAKS):
         return None
     entity_ids, tenor_ids, day_of = _Ids(), _Ids(), _Days()
-    chunks = []
     start, stop = len(PANEL_HEADER) + 1, len(text) - text.endswith("\n")
+    spans = []  # (start, end, rows) of each chunk of whole lines
     while start < stop:
         end = stop if stop - start <= _CHUNK else text.rfind("\n", start, start + _CHUNK)
         if end < 0:
             return None  # a line longer than a chunk
-        columns = _parse_chunk(text[start:end], entity_ids, tenor_ids, day_of)
-        if columns is None:
-            return None
-        chunks.append(columns)
+        spans.append((start, end, text.count("\n", start, end) + 1))
         start = end + 1
-    if not chunks:
-        return []
+    rows = sum(n for _, _, n in spans)
+    entity_col, tenor_col, days = (np.empty(rows, np.int64) for _ in range(3))
+    spreads = np.empty(rows, np.float64)
+    row = 0
+    for start, end, n in spans:
+        out = [column[row : row + n] for column in (entity_col, tenor_col, days, spreads)]
+        if not _parse_chunk(text[start:end], out, entity_ids, tenor_ids, day_of):
+            return None
+        del out  # its views would keep the id columns alive past their use
+        row += n
     if "" in entity_ids or "" in tenor_ids:
         return None
-    entity_col, tenor_col, days, spreads = (np.concatenate(c) for c in zip(*chunks))
-    del chunks
     if not ((spreads > 0.0) & (spreads < np.inf)).all():
         return None
     entity_names, entity_rank = _sorted_ids(entity_ids)
     tenor_names, tenor_rank = _sorted_ids(tenor_ids)
-    first_day = days.min()
-    span = int(days.max() - first_day) + 1
-    # (series, date) as one integer; series number in (entity, tenor) order
-    order_key = entity_rank[entity_col] * len(tenor_names) + tenor_rank[tenor_col]
-    del entity_col, tenor_col
-    order_key *= span
-    order_key += days - first_day
+    # (series, date) as one integer, series numbered in (entity, tenor) order;
+    # it fits int64 for up to 2.5e12 label pairs
+    order_key = entity_rank[entity_col]
+    del entity_col  # free each column after its last read, to keep the peak low
+    order_key *= len(tenor_names)
+    order_key += tenor_rank[tenor_col]
+    del tenor_col
+    order_key *= _DAY_SPAN
+    order_key += days
+    order_key -= _FIRST_DAY.astype(np.int64)
     order = np.argsort(order_key, kind="stable")
-    order_key = order_key[order]
-    if (order_key[1:] == order_key[:-1]).any():
+    keys = order_key[order]
+    del order_key
+    if (keys[1:] == keys[:-1]).any():
         return None  # a duplicate (entity, tenor, date)
-    keys = order_key // span
-    dates, spreads = days[order].view("datetime64[D]"), spreads[order]
-    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
-    series = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    keys //= _DAY_SPAN  # the series number of each sorted row
+    dates = days.view("datetime64[D]")[order]
+    del days
+    spreads = spreads[order]
+    del order
+    dates.flags.writeable = spreads.flags.writeable = False  # series hold views
+    bounds = [*np.flatnonzero(np.diff(keys, prepend=-1)).tolist(), len(keys)]
+    series = [SpreadSeries.__new__(SpreadSeries) for _ in bounds[1:]]
+    for s, lo, hi in zip(series, bounds, bounds[1:]):
         entity, tenor = divmod(int(keys[lo]), len(tenor_names))
-        series.append(SpreadSeries.from_columns(
-            entity_names[entity], tenor_names[tenor], dates[lo:hi], spreads[lo:hi]
-        ))
+        s._store(entity_names[entity], tenor_names[tenor], dates[lo:hi], spreads[lo:hi])
     return series
 
 
 def _parse_chunk(
-    chunk: str, entity_ids: _Ids, tenor_ids: _Ids, day_of: _Days
-) -> tuple[np.ndarray, ...] | None:
-    """Entity ids, tenor ids, days and spreads of whole lines, or None.
+    chunk: str, out: list[np.ndarray], entity_ids: _Ids, tenor_ids: _Ids, day_of: _Days
+) -> bool:
+    """Fill `out` with the entity ids, tenor ids, days and spreads of whole lines.
 
-    Its per-field strings die on return, so one chunk's are alive at a time.
+    Returns False, leaving `out` partly filled, when a line is not
+    well-formed.  Its per-field strings die on return, so one chunk's
+    are alive at a time.
     """
-    rows = chunk.count("\n") + 1
+    rows = len(out[0])
     layout = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
     if layout != b",,,\n" * (rows - 1) + b",,,":
-        return None  # some line has other than four fields
+        return False  # some line has other than four fields
     fields = chunk.replace("\n", ",").split(",")
     dates, entities, tenors, spreads = (fields[i::4] for i in range(4))
     if "_" in "".join(spreads):
-        return None
+        return False
+    entity_out, tenor_out, days_out, spreads_out = out
     try:
-        days = np.fromiter(map(day_of.__getitem__, dates), np.int64, rows)
-        values = np.fromiter(map(float, spreads), np.float64, rows)
+        days_out[:] = np.fromiter(map(day_of.__getitem__, dates), np.int64, rows)
+        spreads_out[:] = np.fromiter(map(float, spreads), np.float64, rows)
     except ValueError:
-        return None  # an invalid date or spread
-    return (
-        np.fromiter(map(entity_ids.__getitem__, entities), np.int64, rows),
-        np.fromiter(map(tenor_ids.__getitem__, tenors), np.int64, rows),
-        days,
-        values,
-    )
+        return False  # an invalid date or spread
+    entity_out[:] = np.fromiter(map(entity_ids.__getitem__, entities), np.int64, rows)
+    tenor_out[:] = np.fromiter(map(tenor_ids.__getitem__, tenors), np.int64, rows)
+    return True
 
 
 def _sorted_ids(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:

@@ -3,21 +3,20 @@
 Everything here re-derives expected behavior through a different route
 than the library takes: decimal-string digit scanning, plain-Python
 formula evaluation, conformity one histogram at a time, adaptive
-quadrature, step-by-step window enumeration, and JSON through a dict
-document and json.dumps.
+quadrature, 60-digit decimals, step-by-step window enumeration, and
+JSON through a dict document and json.dumps.
 """
 
 import json
 import math
 import os
 from datetime import date
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 import benfordtrack
 from benfordtrack import (
-    DEGREES_OF_FREEDOM,
     SMALL_SAMPLE_MIN,
     ChangeSeries,
     ConformityStats,
@@ -69,8 +68,9 @@ def scalar_conformity(h, alpha=0.05) -> ConformityStats:
     """Conformity of one histogram, measured on its own length-9 vectors.
 
     The reference for the row-wise `conformity`: the same formulas
-    reduced over one vector at a time, with KL read from the log of the
-    whole reference when all nine digits occur and masked otherwise.
+    reduced over one vector at a time.  KL sums all nine terms, an
+    absent digit's term being zero, and the p-value is the scalar
+    `chi_square_pvalue`.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -84,39 +84,39 @@ def scalar_conformity(h, alpha=0.05) -> ConformityStats:
     gap *= gap
     gap /= expected
     stat = float(gap.sum())
-    p = chi_square_pvalue(stat, DEGREES_OF_FREEDOM)
+    p = chi_square_pvalue(stat)
     freq = counts / total
-    if min(h.counts) > 0:
-        log_ratio = np.log(freq)
-        log_ratio -= np.log(ref)
-        log_ratio *= freq
-        kl = float(log_ratio.sum())
-    else:
-        mask = freq > 0.0
-        pm = freq[mask]
-        kl = float((pm * (np.log(pm) - np.log(ref[mask]))).sum())
+    log_ratio = np.log(np.where(freq > 0.0, freq, 1.0))
+    log_ratio -= np.log(ref)
+    log_ratio *= freq
     return ConformityStats(
         chi_square=stat,
         p_value=p,
         verdict="accept" if p >= alpha else "reject",
         chebyshev=float(np.abs(freq - ref).max()),
-        kl_divergence=kl,
+        kl_divergence=float(log_ratio.sum()),
         sample_size=total,
         small_sample_flag=total < SMALL_SAMPLE_MIN,
     )
 
 
-def chi2_tail_quad(stat: float, df: int = 8) -> float:
-    """Upper-tail probability by adaptive quadrature of the density."""
+def chi2_tail_quad(stat: float) -> float:
+    """Upper tail with 8 degrees of freedom by adaptive quadrature of the density."""
     from scipy import integrate
 
-    norm = 2.0 ** (df / 2.0) * math.gamma(df / 2.0)
-
     def pdf(t):
-        return t ** (df / 2.0 - 1.0) * math.exp(-t / 2.0) / norm
+        return t**3 * math.exp(-t / 2.0) / 96.0  # 2^4 * Gamma(4) = 96
 
     value, _ = integrate.quad(pdf, stat, math.inf, limit=200)
     return value
+
+
+def chi2_tail_decimal(stat: float) -> float:
+    """Upper tail with 8 degrees of freedom from its closed form, in 60-digit decimals."""
+    with localcontext() as context:
+        context.prec = 60
+        y = Decimal(stat) / 2
+        return float((-y).exp() * (1 + y + y * y / 2 + y * y * y / 6))
 
 
 def enumerate_windows(n, length, step, min_fill):

@@ -407,12 +407,25 @@ def test_parsed_panel_keeps_columns_not_row_objects():
     try:
         before = tracemalloc.get_traced_memory()[0]
         series = parse_panel(text)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert sum(len(s.spreads) for s in series) == rows
     # two 8-byte columns per row, plus a little per series
     assert retained <= 32 * rows
+    # at most five 8-byte columns per row at once, plus one chunk's strings
+    # (46 bytes per row measured; 66 when chunks were concatenated)
+    assert peak <= 52 * rows
+
+
+def test_parsed_columns_are_views_that_stay_read_only():
+    series = parse_panel(_sovereign_panel(entities=2, n=20))
+    assert len(series) == 4
+    for s in series:
+        for column in (s.dates, s.spreads):
+            assert column.base is not None
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
 
 
 # rejected spreads, and unusual spellings that `float` accepts
