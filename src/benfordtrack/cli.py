@@ -144,8 +144,8 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    if path == "-":  # UTF-8 whatever the locale, and no newline translation
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -153,8 +153,8 @@ def _read_input(path: str) -> str:
 def _write_output(path: str, text: str) -> None:
     data = text.encode("utf-8")  # a lone surrogate from argv fails before any output
     if path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()  # a closed pipe surfaces here, not at shutdown
     else:
         with open(path, "wb") as fh:
             fh.write(data)

@@ -11,6 +11,7 @@ strict; every rejection names the offending 1-based line.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -184,7 +185,12 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
     (entity, tenor, date) triple is a hard error, as are nonpositive or
     non-finite spreads.  Well-formed text is read as columns; any other
     text goes to the line-by-line reference parser, which reports the
-    first offending line.
+    first offending line.  Text longer than one chunk is read by two
+    processes where `os.fork` exists and two CPUs are allowed, with the
+    same results and errors: a forked child parses the second half,
+    sends it back through a pipe and leaves by `os._exit`.  Python 3.12
+    and later may warn (DeprecationWarning, hidden by default) about
+    forking while numpy's BLAS helper thread runs.
     """
     text = source if isinstance(source, str) else source.read()
     series = _parse_columns(text)
@@ -263,7 +269,7 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
         return None
     if any(mark in text for mark in _OTHER_BREAKS):
         return None
-    entity_ids, tenor_ids, day_of = _Ids(), _Ids(), _Days()
+    entity_ids, tenor_ids = _Ids(), _Ids()
     start, stop = len(PANEL_HEADER) + 1, len(text) - text.endswith("\n")
     spans = []  # (start, end, rows) of each chunk of whole lines
     while start < stop:
@@ -275,13 +281,9 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     rows = sum(n for _, _, n in spans)
     entity_col, tenor_col, days = (np.empty(rows, np.int64) for _ in range(3))
     spreads = np.empty(rows, np.float64)
-    row = 0
-    for start, end, n in spans:
-        out = [column[row : row + n] for column in (entity_col, tenor_col, days, spreads)]
-        if not _parse_chunk(text[start:end], out, entity_ids, tenor_ids, day_of):
-            return None
-        del out  # its views would keep the id columns alive past their use
-        row += n
+    parse = _parse_halves if len(spans) > 1 and _two_cpus() else _parse_spans
+    if not parse(text, spans, [entity_col, tenor_col, days, spreads], entity_ids, tenor_ids):
+        return None
     if "" in entity_ids or "" in tenor_ids:
         return None
     if not ((spreads > 0.0) & (spreads < np.inf)).all():
@@ -315,6 +317,104 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
         entity, tenor = divmod(int(keys[lo]), len(tenor_names))
         s._store(entity_names[entity], tenor_names[tenor], dates[lo:hi], spreads[lo:hi])
     return series
+
+
+def _two_cpus() -> bool:
+    """Whether a forked child can parse on a CPU of its own."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) > 1
+
+
+def _parse_spans(
+    text: str, spans: list, columns: list[np.ndarray], entity_ids: _Ids, tenor_ids: _Ids,
+    row: int = 0,
+) -> bool:
+    """Parse the chunks `spans` of `text` into `columns` from `row` on.
+
+    Returns False at the first chunk that is not well-formed.
+    """
+    day_of = _Days()
+    for start, end, n in spans:
+        out = [column[row : row + n] for column in columns]
+        if not _parse_chunk(text[start:end], out, entity_ids, tenor_ids, day_of):
+            return False
+        row += n
+    return True
+
+
+def _parse_halves(
+    text: str, spans: list, columns: list[np.ndarray], entity_ids: _Ids, tenor_ids: _Ids
+) -> bool:
+    """`_parse_spans` on two CPUs: a forked child parses the second half.
+
+    The child only parses and sends its rows and labels through a pipe;
+    it writes nothing else and leaves by `os._exit`.  This process
+    parses the first half meanwhile, reads the child's rows into the
+    tail of `columns`, renumbers their labels with its own ids and
+    always reaps the child.  Returns False when either half is not
+    well-formed or the child fails in any way.
+    """
+    half = len(spans) // 2
+    row = sum(n for _, _, n in spans[:half])
+    fds = ()
+    try:
+        fds = read_end, write_end = os.pipe()
+        pid = os.fork()
+    except OSError:  # no descriptor or process to spare: parse here alone
+        for fd in fds:
+            os.close(fd)
+        return _parse_spans(text, spans, columns, entity_ids, tenor_ids)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                if _parse_spans(text, spans[half:], columns, entity_ids, tenor_ids, row):
+                    _send(pipe, columns, row, entity_ids, tenor_ids)
+                    code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            done = _parse_spans(text, spans[:half], columns, entity_ids, tenor_ids)
+            done = done and _receive(pipe, columns, row, entity_ids, tenor_ids)
+    finally:
+        status = os.waitpid(pid, 0)[1]  # the pipe is closed: a child still sending stops
+    return done and status == 0
+
+
+def _send(pipe, columns: list[np.ndarray], row: int, entity_ids: _Ids, tenor_ids: _Ids) -> None:
+    """Write the label counts and lists, then each column from `row` on."""
+    labels = "\n".join([*entity_ids, *tenor_ids]).encode("utf-8", "surrogatepass")
+    pipe.write(np.array([len(entity_ids), len(labels)], np.int64).tobytes())
+    pipe.write(labels)
+    for column in columns:
+        pipe.write(column[row:])
+
+
+def _receive(pipe, columns: list[np.ndarray], row: int, entity_ids: _Ids, tenor_ids: _Ids) -> bool:
+    """Read what `_send` wrote into `columns` from `row` on; False if it is short.
+
+    The child's label ids are mapped to this process's ids in place.
+    """
+    header = pipe.read(16)
+    if len(header) != 16:
+        return False
+    entities, size = np.frombuffer(header, np.int64).tolist()
+    labels = pipe.read(size)
+    if len(labels) != size:
+        return False
+    for column in columns:
+        if pipe.readinto(column[row:]) != column[row:].nbytes:
+            return False
+    names = labels.decode("utf-8", "surrogatepass").split("\n")
+    for ids, child_names, column in ((entity_ids, names[:entities], columns[0]),
+                                     (tenor_ids, names[entities:], columns[1])):
+        remap = np.array([ids[name] for name in child_names], np.int64)
+        tail = column[row:]
+        np.take(remap, tail, out=tail, mode="clip")  # in place; "raise" would copy `tail`
+    return True
 
 
 def _parse_chunk(

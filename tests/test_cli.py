@@ -21,6 +21,7 @@ from benfordtrack import (
     window_ranges,
 )
 from benfordtrack.cli import main
+from benfordtrack.panel import _CHUNK
 from helpers import cli_env
 
 
@@ -285,7 +286,7 @@ def test_analyze_malformed_panel_reports_the_line(tmp_path, capsys):
 
 
 def test_analyze_reads_stdin(panel_path, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(panel_path.read_text()))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(panel_path.read_bytes())))
     code, out, _ = run_cli(["analyze", "--format", "csv"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 6
@@ -385,6 +386,104 @@ def test_track_date_range_slices_before_windowing(panel_path, capsys):
     assert code == 0
     # 136 weekday changes fall in the range: two full windows plus a tail
     assert len(out.splitlines()) == 4
+
+
+# ------------------------------------------------------ stdio encoding
+
+def _cli(argv, cwd, stdin=b"", env=None, program=("-m", "benfordtrack")):
+    return subprocess.run(
+        [sys.executable, *program, *argv],
+        input=stdin, capture_output=True, env={**cli_env(), **(env or {})}, cwd=cwd,
+    )
+
+
+LATIN_1 = {"PYTHONIOENCODING": "latin-1"}
+
+
+@pytest.mark.parametrize("entity", ["Z\u00e9", "\u03a9x"])
+def test_stdio_is_utf8_whatever_the_locale_encoding(entity, tmp_path):
+    panel = tmp_path / "w.csv"
+    synth = ["synth", "--kind", "benford", "--n", "300", "--seed", "4", "--entity", entity]
+    assert _cli([*synth, "--out", str(panel)], tmp_path).returncode == 0
+    text = panel.read_bytes()
+    assert entity.encode("utf-8") in text
+    piped = _cli([*synth, "--out", "-"], tmp_path, env=LATIN_1)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, text, b"")
+    analyze = ["analyze", "--format", "csv"]
+    expected = _cli([*analyze, "--input", str(panel)], tmp_path).stdout
+    assert entity.encode("utf-8") in expected
+    from_stdin = _cli([*analyze, "--input", "-", "--out", "f.csv"], tmp_path, text, LATIN_1)
+    assert from_stdin.returncode == 0
+    assert (tmp_path / "f.csv").read_bytes() == expected
+    to_stdout = _cli([*analyze, "--input", str(panel)], tmp_path, env=LATIN_1)
+    assert (to_stdout.returncode, to_stdout.stdout, to_stdout.stderr) == (0, expected, b"")
+
+
+def test_stdin_that_is_not_utf8_is_a_data_error(tmp_path):
+    proc = _cli(["analyze"], tmp_path, b"date,entity,tenor,spread_bps\n2010-01-05,Z\xe9,5Y,1.0\n",
+                LATIN_1)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xe9")
+
+
+# ------------------------------------------------------ forked parse
+
+# runs the CLI with the CPUs in argv[1] allowed, and exits 99 unless it
+# forked exactly when two were allowed
+_CPUS_PRELUDE = """
+import os, sys
+cpus = set(map(int, sys.argv[1]))
+os.sched_getaffinity = lambda pid: cpus
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+from benfordtrack.cli import main
+code = main(sys.argv[2:])
+raise SystemExit(code if len(forks) == (len(cpus) > 1) else 99)
+"""
+
+
+@pytest.fixture
+def chunked_panel():
+    """A panel several parse chunks long, as lines."""
+    series = [
+        synth_panel(SynthSpec("benford", 3000, k), entity=entity, tenor=tenor)
+        for k, (entity, tenor) in enumerate(
+            (e, t) for e in ("DE", "FR", "IT", "ES") for t in ("5Y", "10Y")
+        )
+    ]
+    return serialize_panel(series).splitlines()
+
+
+def _cpus_cli(cpus, argv, cwd):
+    return _cli([cpus, *argv], cwd, program=("-c", _CPUS_PRELUDE))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is unavailable")
+@pytest.mark.parametrize("argv", [["track", "--format", "json"], ["analyze"]])
+def test_forked_parse_writes_the_serial_bytes(argv, chunked_panel, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(chunked_panel) + "\n", encoding="utf-8")
+    assert path.stat().st_size > 4 * _CHUNK
+    forked = _cpus_cli("01", [*argv, "--input", str(path)], tmp_path)
+    serial = _cpus_cli("0", [*argv, "--input", str(path)], tmp_path)
+    assert (forked.returncode, forked.stderr) == (0, b"")
+    assert (serial.returncode, serial.stderr) == (0, b"")
+    assert forked.stdout == serial.stdout and len(forked.stdout) > 1000
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is unavailable")
+def test_malformed_row_in_the_childs_half_names_its_line(chunked_panel, tmp_path):
+    lines = chunked_panel
+    bad = len(lines) * 4 // 5  # within the second half of the chunks
+    lines[bad] = lines[bad].replace(",", ";", 1)
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for cpus in ("01", "0"):
+        proc = _cpus_cli(cpus, ["analyze", "--input", str(path)], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == f"error: line {bad + 1}: expected 4 fields, got 3\n"
 
 
 # ---------------------------------------------------------- closed pipe

@@ -2,8 +2,10 @@
 
 import io
 import math
+import os
 import random
 import re
+import signal
 import tracemalloc
 from datetime import date, timedelta
 
@@ -544,3 +546,118 @@ def test_columnar_parser_reads_crlf_endings_like_the_line_parser(kind, outcome):
     else:
         assert isinstance(reference, list) and len(reference) == 4
         assert columnar is (outcome == "columnar")
+
+
+# --------------------------------------------- forked columnar parse
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is unavailable")
+
+
+def _assert_no_child_left():
+    # a child left running or unreaped would outlive the parse
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count forks; small chunks and two allowed CPUs send small panels to a child."""
+    count = []
+    fork = os.fork
+
+    def counted():
+        count.append(1)
+        return fork()
+
+    monkeypatch.setattr(panel, "_CHUNK", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    yield count
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_forked_parse_matches_the_line_parser_on_mutated_panels(forks):
+    rng = random.Random(13)
+    outcomes = {"valid": 0, "rejected": 0, "columnar": 0}
+    for _ in range(400):
+        text = _mutated_panel(rng)
+        before = len(forks)
+        reference, columnar = _compare_parsers(text)
+        _assert_no_child_left()
+        if len(forks) > before:
+            outcomes["columnar"] += columnar
+            outcomes["valid" if isinstance(reference, list) else "rejected"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@needs_fork
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("defect", [None, "head", "tail"])
+def test_forked_parse_reads_labels_first_seen_in_the_child(forks, ending, defect):
+    # serialize_panel sorts by entity, so the child's half holds the later
+    # entities only
+    lines = _sovereign_panel(entities=6, n=8).splitlines()
+    if defect is not None:
+        i = 3 if defect == "head" else len(lines) - 3
+        lines[i] = lines[i].replace(",", ";", 1)
+    text = ending.join(lines) + ending
+    reference, columnar = _compare_parsers(text)
+    assert len(forks) == 2  # parse_panel and _parse_columns
+    assert columnar is (defect is None)
+    if defect is None:
+        assert len(reference) == 12
+    else:
+        assert reference[0] == i + 1
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["raise", "die", "short"])
+def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, failure):
+    text = _sovereign_panel(entities=3, n=20)
+    expected = _rows(panel._parse_lines(text))
+    parent = os.getpid()
+    parse_chunk, send = panel._parse_chunk, panel._send
+
+    def chunk_in_child(*args):
+        if os.getpid() != parent:
+            if failure == "raise":
+                raise RuntimeError("child failure")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse_chunk(*args)
+
+    def short_send(pipe, *args):
+        buffer = io.BytesIO()
+        send(buffer, *args)
+        pipe.write(buffer.getvalue()[:-1])
+
+    if failure == "short":
+        monkeypatch.setattr(panel, "_send", short_send)
+    else:
+        monkeypatch.setattr(panel, "_parse_chunk", chunk_in_child)
+    assert panel._parse_columns(text) is None
+    _assert_no_child_left()
+    assert _rows(parse_panel(text)) == expected
+    assert len(forks) == 2
+
+
+def _no_fork():
+    raise OSError("no process to spare")
+
+
+@needs_fork
+@pytest.mark.parametrize("limit", ["one_cpu", "no_affinity", "no_fork", "fork_fails"])
+def test_serial_parse_gives_the_forked_rows(forks, monkeypatch, limit):
+    text = _sovereign_panel(entities=5, n=30)
+    expected = _rows(parse_panel(text))
+    assert len(forks) == 1
+    if limit == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif limit == "no_affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    elif limit == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    assert _rows(panel._parse_columns(text)) == expected
+    assert len(forks) == 1
