@@ -33,9 +33,7 @@ from .panel import (
 )
 from .windows import (
     PeriodSpec,
-    WindowResult,
     WindowSpec,
-    analyze_period,
     named_periods,
     track,
     window_ranges,
@@ -77,9 +75,7 @@ __all__ = [
     "parse_panel",
     "serialize_panel",
     "PeriodSpec",
-    "WindowResult",
     "WindowSpec",
-    "analyze_period",
     "named_periods",
     "track",
     "window_ranges",

@@ -177,8 +177,8 @@ def _load_changes(args):
     ]
 
 
-def _run_report(parser: _Parser, args) -> int:
-    """Shared path of `analyze` and `track`: validate, build, emit, map errors.
+def _run_report(parser: _Parser, args):
+    """Shared path of `analyze` and `track`: validate, return the report's emitter.
 
     `args.prepare` checks the command's own flags and returns its meta
     parameters and a function that builds the report from the changes.
@@ -202,15 +202,7 @@ def _run_report(parser: _Parser, args) -> int:
             **parameters,
         },
     }
-    try:
-        report = build(_load_changes(args), meta)
-        _write_output(args.out, emit(report, args.format))
-    except BrokenPipeError:
-        return _closed_pipe()
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return lambda: emit(build(_load_changes(args), meta), args.format)
 
 
 def _prepare_analyze(parser: _Parser, args):
@@ -250,7 +242,7 @@ def _prepare_track(parser: _Parser, args):
     return parameters, build
 
 
-def _cmd_synth(parser: _Parser, args) -> int:
+def _cmd_synth(parser: _Parser, args):
     if args.n < 1:
         parser.error("--n must be at least 1")
     if (args.manip_fraction is None) != (args.manip_digit is None):
@@ -271,20 +263,27 @@ def _cmd_synth(parser: _Parser, args) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    return lambda: serialize_panel([series])
+
+
+def main(argv=None) -> int:
+    """Run one command and map its errors to the exit code.
+
+    Each handler checks its flags, exiting with 1 on a usage error, and
+    returns the function that makes its output text.  Errors while
+    making or writing that text exit with 2, a closed stdout with 141.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    make_output = args.handler(parser, args)
     try:
-        _write_output(args.out, serialize_panel([series]))
+        _write_output(args.out, make_output())
     except BrokenPipeError:
         return _closed_pipe()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(parser, args)
 
 
 if __name__ == "__main__":

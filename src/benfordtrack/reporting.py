@@ -2,13 +2,14 @@
 
 A report is one table: an ordered column tuple (`PERIOD_COLUMNS` or
 `TRACK_COLUMNS`) and rows of Python scalars in that order.  The builders
-make each row directly from the cell's conformity measurement, and one
-generic renderer per format turns the scalars into cells by value type:
-the text table shows floats with four decimals, `-` for a missing value
-and Roman window labels; CSV carries floats at full precision via repr
-and leaves a missing value empty; JSON writes each cell as json.dumps
-does and accepts only None, bool, int, float and str cells.  Only the
-trend block of a track report is rendered apart from the rows.
+measure each series in one conformity call and make each row directly
+from its cell's measurement, and one generic renderer per format turns
+the scalars into cells by value type: the text table shows floats with
+four decimals, `-` for a missing value and Roman window labels; CSV
+carries floats at full precision via repr and leaves a missing value
+empty; JSON writes each cell as json.dumps does and accepts only None,
+bool, int, float and str cells.  Only the trend block of a track report
+is rendered apart from the rows.
 
 Emission is deterministic: rows are ordered by entity, tenor and then
 period position or window index, and the JSON document is canonical
@@ -23,8 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from .digits import DigitHistogram, digit_histogram
 from .panel import ChangeSeries
-from .windows import PeriodSpec, WindowResult, WindowSpec, analyze_period, track
+from .stats import ConformityStats, conformity
+from .windows import PeriodSpec, WindowSpec, track, window_ranges
 
 PERIOD_COLUMNS = (
     "entity", "tenor", "period", "chi2", "p_value", "verdict", "n", "small_sample",
@@ -86,19 +91,20 @@ class Report:
                 raise ValueError(f"row {i} holds {len(row)} cells, not {len(self.columns)}")
 
 
-def fit_trend(results: Sequence[WindowResult], metric: str) -> TrendFit:
+def fit_trend(results: Sequence[ConformityStats], metric: str) -> TrendFit:
     """Ordinary least squares of a window metric on the window index.
 
-    The regressor is the 1-based window index.  A constant metric
+    `results` are the windows in order, as `track` returns them, and the
+    regressor is each one's 1-based position.  A constant metric
     sequence fits slope 0 with r_squared defined as 0.
     """
     if len(results) < 2:
         raise ValueError("insufficient windows for trend")
     if metric not in _TREND_FIELDS:
         raise ValueError(f"metric must be one of {TREND_METRICS}")
-    y = [getattr(r.stats, _TREND_FIELDS[metric]) for r in results]
-    x = [float(r.index) for r in results]
-    n = len(x)
+    n = len(results)
+    y = [getattr(r, _TREND_FIELDS[metric]) for r in results]
+    x = [float(i) for i in range(1, n + 1)]
     x_mean = sum(x) / n
     y_mean = sum(y) / n
     sxx = sum((xi - x_mean) ** 2 for xi in x)
@@ -118,6 +124,18 @@ def _by_key(series: Iterable[ChangeSeries]) -> list[ChangeSeries]:
     return sorted(series, key=lambda s: (s.entity, s.tenor))
 
 
+def _period_cell(s: ChangeSeries, period: PeriodSpec) -> DigitHistogram | str:
+    """Digits of the changes dated within `period`, or why it has none."""
+    changes = s.slice(period.start, period.end).changes
+    if len(changes) == 0:
+        return f"empty slice for period '{period.label}'"
+    try:
+        h = digit_histogram(changes)
+    except ValueError as exc:  # a non-finite change
+        return str(exc)
+    return h if h.total else "empty sample"
+
+
 def build_period_report(
     series: Iterable[ChangeSeries],
     periods: Sequence[PeriodSpec],
@@ -128,18 +146,18 @@ def build_period_report(
 
     A cell that cannot be measured (an empty slice, or one holding only
     zero changes) becomes an annotated row instead of an error: its
-    measurements are missing and its error message is its verdict.
+    measurements are missing and its error message is its verdict.  The
+    measurable cells of a series are measured in one conformity call.
     """
     rows = []
     for s in _by_key(series):
-        for period in periods:
-            try:
-                c = analyze_period(s, period, alpha)
-            except ValueError as exc:
-                rows.append(
-                    (s.entity, s.tenor, period.label, None, None, str(exc), None, None)
-                )
+        cells = [_period_cell(s, period) for period in periods]
+        measured = iter(conformity([h for h in cells if not isinstance(h, str)], alpha))
+        for period, cell in zip(periods, cells):
+            if isinstance(cell, str):
+                rows.append((s.entity, s.tenor, period.label, None, None, cell, None, None))
                 continue
+            c = next(measured)
             rows.append((
                 s.entity, s.tenor, period.label, c.chi_square, c.p_value, c.verdict,
                 c.sample_size, c.small_sample_flag,
@@ -155,18 +173,19 @@ def build_track_report(
 ) -> Report:
     """Rolling-window rows plus per-series trend fits for every metric.
 
-    Trend fits need at least two windows; a series yielding a single
-    window contributes rows but no trends.
+    A window is dated by the first and last date of its range.  Trend
+    fits need at least two windows; a series yielding a single window
+    contributes rows but no trends.
     """
     rows = []
     trends = []
     for s in _by_key(series):
         results = track(s, spec, alpha)
-        for r in results:
-            c = r.stats
+        bounds = [(r.start, r.stop - 1) for r in window_ranges(len(s.changes), spec)]
+        spans = np.datetime_as_string(s.dates[np.array(bounds)]).tolist()
+        for index, (c, (start, end)) in enumerate(zip(results, spans), 1):
             rows.append((
-                s.entity, s.tenor, r.index, r.start_date.isoformat(),
-                r.end_date.isoformat(), c.sample_size,
+                s.entity, s.tenor, index, start, end, c.sample_size,
                 c.chi_square, c.p_value, c.chebyshev, c.kl_divergence,
             ))
         if len(results) >= 2:
@@ -184,9 +203,9 @@ _CSV_CELL = {
 _TEXT_CELL = {**_CSV_CELL, type(None): lambda v: "-", float: "{:.4f}".format}
 
 
-def _cells(values: Sequence, formats: Mapping) -> list[str]:
+def _cells(values: Sequence, formats: Mapping, fallback=str) -> list[str]:
     """The cells of one column, each value formatted by its type."""
-    return [formats.get(type(v), str)(v) for v in values]
+    return [formats.get(type(v), fallback)(v) for v in values]
 
 
 def _by_column(columns: Sequence[str], rows: Sequence[tuple]):
@@ -233,11 +252,8 @@ _JSON_CELL = {
 }
 
 
-def _json_cell(v) -> str:
-    fmt = _JSON_CELL.get(type(v))
-    if fmt is None:
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-    return fmt(v)
+def _not_json(v) -> str:
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _nested_json(value) -> str:
@@ -250,8 +266,9 @@ def _render_json(
 ) -> str:
     """canonical_json of {"meta", "rows", "trends"} with rows as key -> cell.
 
-    Each row fills one template whose keys are sorted once, so the rows
-    never become dicts; `meta` and `trends` go through canonical_json.
+    Cells are formatted column by column and each row fills one template
+    whose keys are sorted once, so the rows never become dicts; `meta`
+    and `trends` go through canonical_json.
     """
     position = {name: i for i, name in enumerate(columns)}  # last one wins
     keys = sorted(position)
@@ -263,9 +280,9 @@ def _render_json(
     template = "    {\n" + fields + "\n    }" if keys else "    {}"
     parts = ['{\n  "meta": ', _nested_json(dict(meta)), ',\n  "rows": ']
     if rows:
-        rendered = [
-            template % tuple([_json_cell(row[i]) for i in order]) for row in rows
-        ]
+        values = list(zip(*rows))
+        cells = [_cells(values[i], _JSON_CELL, _not_json) for i in order]
+        rendered = [template % row for row in list(zip(*cells)) or [()] * len(rows)]
         parts += ["[\n", ",\n".join(rendered), "\n  ]"]
     else:
         parts.append("[]")

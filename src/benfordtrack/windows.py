@@ -1,4 +1,4 @@
-"""Named analysis periods, rolling windows and per-slice conformity."""
+"""Named analysis periods, rolling window geometry and rolling conformity."""
 
 from __future__ import annotations
 
@@ -62,22 +62,6 @@ class WindowSpec:
             raise ValueError("min_fill must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class WindowResult:
-    """Conformity of one rolling window.
-
-    `sample_size` counts the observations inside the window; the digit
-    sample actually tested can be smaller when zero changes occur and
-    is reported in `stats.sample_size`.
-    """
-
-    index: int  # 1-based
-    start_date: date
-    end_date: date
-    sample_size: int
-    stats: ConformityStats
-
-
 def window_ranges(n: int, spec: WindowSpec) -> list[range]:
     """Index ranges of the rolling windows over n observations.
 
@@ -101,31 +85,19 @@ def window_ranges(n: int, spec: WindowSpec) -> list[range]:
     return ranges
 
 
-def analyze_period(
-    series: ChangeSeries, period: PeriodSpec, alpha: float = 0.05
-) -> ConformityStats:
-    """Conformity of the changes dated within one period."""
-    sliced = series.slice(period.start, period.end)
-    if len(sliced.changes) == 0:
-        raise ValueError(f"empty slice for period '{period.label}'")
-    return conformity([digit_histogram(sliced.changes)], alpha)[0]
-
-
 def track(
     series: ChangeSeries,
     spec: WindowSpec = WindowSpec(),
     alpha: float = 0.05,
-) -> list[WindowResult]:
-    """Conformity through rolling windows, in window order.
+) -> list[ConformityStats]:
+    """Conformity of each rolling window, in window order.
 
-    Each window is dated by its first and last observation, and one
-    conformity call measures all windows.  A window of only zero
-    changes has no digits to test and raises the empty-sample error.
+    The windows are `window_ranges(len(series.changes), spec)`, and one
+    conformity call measures all of them; each window's dates are its
+    range's bounds in `series.dates`.  A window of only zero changes has
+    no digits to test and raises the empty-sample error.
     """
-    dates = series.dates.tolist()
-    ranges = window_ranges(len(dates), spec)
-    histograms = [digit_histogram(series.changes[r.start : r.stop]) for r in ranges]
-    return [
-        WindowResult(index, dates[r.start], dates[r.stop - 1], len(r), stats)
-        for index, (r, stats) in enumerate(zip(ranges, conformity(histograms, alpha)), 1)
-    ]
+    ranges = window_ranges(len(series.changes), spec)
+    return conformity(
+        [digit_histogram(series.changes[r.start : r.stop]) for r in ranges], alpha
+    )

@@ -26,6 +26,7 @@ from benfordtrack import (
     generate,
     kl_divergence,
     track,
+    window_ranges,
 )
 from benfordtrack.synthetic import inject_manipulation
 from helpers import (
@@ -121,12 +122,14 @@ def test_criterion_5_window_count_reproduction():
     t0 = time.perf_counter()
     expected = enumerate_windows(1750, 90, 45, 0.5)
     series = make_change_series(list(generate(SynthSpec("benford", 1750, 0))))
-    results = track(series, WindowSpec(length=90, step=45, min_fill=0.5))
-    sizes = [w.sample_size for w in results]
+    spec = WindowSpec(length=90, step=45, min_fill=0.5)
+    results = track(series, spec)
+    ranges = window_ranges(len(series.changes), spec)
+    sizes = [len(r) for r in ranges]
     ok = (
-        len(results) == 38
+        len(results) == len(ranges) == 38
         and sizes == [90] * 37 + [85]
-        and [(w.index, w.sample_size) for w in results]
+        and [(i, len(r)) for i, r in enumerate(ranges, 1)]
         == [(i + 1, stop - start) for i, (start, stop) in enumerate(expected)]
     )
     _verdict(

@@ -13,8 +13,7 @@ EXPORTED = {
     "conformity", "critical_value", "kl_divergence",
     "ChangeSeries", "PanelFormatError", "SpreadSeries", "daily_changes",
     "parse_panel", "serialize_panel",
-    "PeriodSpec", "WindowResult", "WindowSpec", "analyze_period",
-    "named_periods", "track", "window_ranges",
+    "PeriodSpec", "WindowSpec", "named_periods", "track", "window_ranges",
     "SynthSpec", "generate", "synth_panel",
     "Report", "TrendFit",
     "build_period_report", "build_track_report", "emit", "fit_trend",
@@ -32,7 +31,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 36
+    assert len(EXPORTED) == 34
     assert sorted(benfordtrack.__all__) == sorted(EXPORTED)
     for name in EXPORTED:
         assert getattr(benfordtrack, name) is not None

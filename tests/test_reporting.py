@@ -11,18 +11,22 @@ from benfordtrack import (
     ConformityStats,
     Report,
     SynthSpec,
+    ChangeSeries,
+    PeriodSpec,
     TrendFit,
-    WindowResult,
     WindowSpec,
-    analyze_period,
     build_period_report,
     build_track_report,
+    conformity,
+    digit_histogram,
     emit,
     fit_trend,
     generate,
     named_periods,
     track,
+    window_ranges,
 )
+from benfordtrack import reporting
 from benfordtrack.reporting import (
     PERIOD_COLUMNS,
     TRACK_COLUMNS,
@@ -76,10 +80,7 @@ def _stats(chi2, cheb=0.01, kl=0.02, n=90):
 
 
 def _results(chi_values):
-    d0 = date(2010, 1, 1)
-    return [
-        WindowResult(i + 1, d0, d0, 90, _stats(v)) for i, v in enumerate(chi_values)
-    ]
+    return [_stats(v) for v in chi_values]
 
 
 def test_fit_trend_recovers_an_exact_line():
@@ -104,11 +105,10 @@ def test_fit_trend_noisy_line_keeps_r_squared_in_bounds():
 
 
 def test_fit_trend_reads_the_requested_metric():
-    d0 = date(2010, 1, 1)
     results = [
-        WindowResult(1, d0, d0, 90, _stats(1.0, cheb=0.10, kl=0.30)),
-        WindowResult(2, d0, d0, 90, _stats(1.0, cheb=0.20, kl=0.20)),
-        WindowResult(3, d0, d0, 90, _stats(1.0, cheb=0.30, kl=0.10)),
+        _stats(1.0, cheb=0.10, kl=0.30),
+        _stats(1.0, cheb=0.20, kl=0.20),
+        _stats(1.0, cheb=0.30, kl=0.10),
     ]
     assert fit_trend(results, "chebyshev").slope == pytest.approx(0.1, abs=1e-12)
     assert fit_trend(results, "kl").slope == pytest.approx(-0.1, abs=1e-12)
@@ -169,6 +169,62 @@ def test_build_period_report_annotates_uncoverable_periods():
     assert by_period["crisis"]["chi2"] is not None
 
 
+def test_build_period_report_measures_each_series_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(histograms, alpha=0.05):
+        calls.append(len(histograms))
+        return conformity(histograms, alpha)
+
+    monkeypatch.setattr(reporting, "conformity", counted)
+    late = make_change_series(
+        list(generate(SynthSpec("benford", 200, 1))), start=date(2011, 3, 1), entity="GR"
+    )
+    report = build_period_report(_panel() + [late], named_periods())
+    # GR's 200 weekdays of 2011 miss pre_crisis and post_crisis
+    assert calls == [5, 5, 5, 5, 3]
+    assert len(report.rows) == 25
+
+
+def test_build_period_report_aligns_measures_around_failed_cells():
+    # per series: a benford year, a year of only zero changes, a year
+    # without observations and another benford year, then a span over all
+    def series(entity, seed):
+        days = [np.arange(f"{y}-01-01", f"{y}-10-01", dtype="datetime64[D]")
+                for y in (2010, 2011, 2013)]
+        changes = [generate(SynthSpec("benford", len(days[0]), seed)),
+                   np.zeros(len(days[1])),
+                   generate(SynthSpec("benford", len(days[2]), seed + 1))]
+        return ChangeSeries(entity, "5Y", np.concatenate(days), np.concatenate(changes))
+
+    periods = [PeriodSpec(f"y{y}", date(y, 1, 1), date(y, 12, 31))
+               for y in (2010, 2011, 2012, 2013)]
+    periods.append(PeriodSpec("all", date(2010, 1, 1), date(2013, 12, 31)))
+    panel = [series("AT", 1), series("DE", 7)]
+    rows = iter(build_period_report(panel, periods, alpha=0.1).rows)
+    failed = {"y2011": "empty sample", "y2012": "empty slice for period 'y2012'"}
+    for s in panel:
+        for period in periods:
+            row = next(rows)
+            assert row[:3] == (s.entity, "5Y", period.label)
+            if period.label in failed:
+                assert row[3:] == (None, None, failed[period.label], None, None)
+                continue
+            cell = s.slice(period.start, period.end).changes
+            c = conformity([digit_histogram(cell)], 0.1)[0]
+            assert [float.hex(v) for v in row[3:5]] == [
+                float.hex(c.chi_square), float.hex(c.p_value)]
+            assert row[5:] == (c.verdict, c.sample_size, c.small_sample_flag)
+    assert next(rows, None) is None
+
+
+def test_build_period_report_annotates_a_non_finite_change():
+    # a relative change overflows to inf when a spread jumps from 1e-300 to 1e300
+    s = make_change_series([1.0, math.inf, 2.0], start=date(2010, 1, 4))
+    (row,) = build_period_report([s], named_periods()[:1]).rows
+    assert row == ("X", "5Y", "full", None, None, "non-finite value", None, None)
+
+
 def test_build_period_report_meta_passthrough():
     report = build_period_report(_panel()[:1], named_periods()[:1], meta={"run": 3})
     assert report.meta == {"run": 3}
@@ -223,16 +279,17 @@ def test_rows_copy_each_measurement_into_its_column():
     s = make_change_series(list(generate(SynthSpec("benford", 400, 6))), entity="AT")
     full = named_periods()[0]
     (row,) = build_period_report([s], [full], alpha=0.1).rows
-    c = analyze_period(s, full, 0.1)
+    c = conformity([digit_histogram(s.slice(full.start, full.end).changes)], 0.1)[0]
     assert row == ("AT", "5Y", "full", c.chi_square, c.p_value, c.verdict,
                    c.sample_size, c.small_sample_flag)
     rows = build_track_report([s], WindowSpec(), alpha=0.1).rows
     results = track(s, WindowSpec(), 0.1)
+    ranges = window_ranges(len(s.changes), WindowSpec())
     assert rows == tuple(
-        ("AT", "5Y", r.index, r.start_date.isoformat(), r.end_date.isoformat(),
-         r.stats.sample_size, r.stats.chi_square, r.stats.p_value,
-         r.stats.chebyshev, r.stats.kl_divergence)
-        for r in results
+        ("AT", "5Y", index, s.dates[r.start].item().isoformat(),
+         s.dates[r.stop - 1].item().isoformat(),
+         c.sample_size, c.chi_square, c.p_value, c.chebyshev, c.kl_divergence)
+        for index, (r, c) in enumerate(zip(ranges, results), 1)
     )
 
 

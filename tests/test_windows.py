@@ -1,4 +1,4 @@
-"""Named periods, window geometry, period analysis and rolling tracks."""
+"""Named periods, window geometry, period rows and rolling tracks."""
 
 import math
 from datetime import date, timedelta
@@ -12,7 +12,8 @@ from benfordtrack import (
     PeriodSpec,
     SynthSpec,
     WindowSpec,
-    analyze_period,
+    build_period_report,
+    build_track_report,
     conformity,
     digit_histogram,
     generate,
@@ -176,23 +177,29 @@ def test_window_ranges_partition_when_step_equals_length():
 
 # -------------------------------------------------------- period slicing
 
-def test_analyze_period_slices_by_date():
+def _measures(c):
+    """The measurement cells of a period row, from one ConformityStats."""
+    return (c.chi_square, c.p_value, c.verdict, c.sample_size, c.small_sample_flag)
+
+
+def test_period_rows_slice_by_date():
     series = make_change_series(list(generate(SynthSpec("benford", 300, 3))))
     dates = series.dates.tolist()
     mid = dates[150]
     period = PeriodSpec("head", dates[0], mid)
-    stats = analyze_period(series, period)
-    manual = conformity(
-        [digit_histogram([v for d, v in zip(dates, series.changes) if d <= mid])]
-    )[0]
-    assert stats == manual
+    (row,) = build_period_report([series], [period]).rows
+    head = [v for d, v in zip(dates, series.changes) if d <= mid]
+    manual = conformity([digit_histogram(head)])[0]
+    assert row[3:] == _measures(manual)
+    assert digit_histogram(series.slice(dates[0], mid).changes) == digit_histogram(head)
 
 
-def test_analyze_period_empty_slice_raises():
+def test_period_row_of_an_empty_slice_is_annotated():
     series = make_change_series([1.0, 2.0, 3.0])
     period = PeriodSpec("void", date(1999, 1, 1), date(1999, 2, 1))
-    with pytest.raises(ValueError, match="empty slice.*void"):
-        analyze_period(series, period)
+    (row,) = build_period_report([series], [period]).rows
+    assert row == ("X", "5Y", "void", None, None, "empty slice for period 'void'",
+                   None, None)
 
 
 def test_sub_periods_concatenate_to_post2010():
@@ -208,7 +215,8 @@ def test_sub_periods_concatenate_to_post2010():
     merged = conformity(
         [digit_histogram(list(crisis.changes) + list(post.changes))]
     )[0]
-    assert analyze_period(series, periods["post2010"]) == merged
+    (row,) = build_period_report([series], [periods["post2010"]]).rows
+    assert row[3:] == _measures(merged)
 
 
 # --------------------------------------------------------------- tracks
@@ -216,13 +224,16 @@ def test_sub_periods_concatenate_to_post2010():
 def test_track_reference_panel_geometry():
     series = make_change_series(list(generate(SynthSpec("benford", 1750, 5))))
     results = track(series, WindowSpec())
-    assert len(results) == 38
-    assert [w.index for w in results] == list(range(1, 39))
-    assert [w.sample_size for w in results] == [90] * 37 + [85]
-    assert results[0].start_date == series.dates[0].item()
-    assert results[-1].end_date == series.dates[-1].item()
-    for prev, cur in zip(results, results[1:]):
-        assert prev.start_date < cur.start_date
+    ranges = window_ranges(len(series.changes), WindowSpec())
+    assert len(results) == len(ranges) == 38
+    rows = build_track_report([series], WindowSpec()).rows
+    assert [row[2] for row in rows] == list(range(1, 39))
+    assert [len(r) for r in ranges] == [90] * 37 + [85]
+    starts = [series.dates[r.start].item() for r in ranges]
+    assert starts[0] == series.dates[0].item()
+    assert series.dates[ranges[-1].stop - 1].item() == series.dates[-1].item()
+    for prev, cur in zip(starts, starts[1:]):
+        assert prev < cur
 
 
 def test_track_windows_match_direct_conformity():
@@ -230,29 +241,34 @@ def test_track_windows_match_direct_conformity():
     series = make_change_series(values)
     spec = WindowSpec(length=100, step=50, min_fill=0.5)
     results = track(series, spec)
-    for w, r in zip(results, window_ranges(len(values), spec)):
+    ranges = window_ranges(len(values), spec)
+    rows = build_track_report([series], spec).rows
+    assert len(results) == len(ranges) == len(rows)
+    for w, r, row in zip(results, ranges, rows):
         chunk = values[r.start : r.stop]
         direct = conformity([digit_histogram(chunk)])[0]
-        assert w.stats == direct
-        assert w.start_date == series.dates[r.start].item()
-        assert w.end_date == series.dates[r.stop - 1].item()
-        assert w.sample_size == len(chunk)
+        assert w == direct
+        assert row[3] == series.dates[r.start].item().isoformat()
+        assert row[4] == series.dates[r.stop - 1].item().isoformat()
+        assert w.sample_size == len(chunk)  # benford draws hold no zero
 
 
 def test_track_window_dates_come_from_the_data():
     series = make_change_series(list(generate(SynthSpec("benford", 90, 2))))
     results = track(series, WindowSpec())
+    ranges = window_ranges(len(series.changes), WindowSpec())
     assert len(results) == 2
-    assert results[0].sample_size == 90
-    assert results[1].sample_size == 45
-    assert results[1].start_date == series.dates[45].item()
+    assert len(ranges[0]) == 90
+    assert len(ranges[1]) == 45
+    rows = build_track_report([series], WindowSpec()).rows
+    assert rows[1][3] == series.dates[45].item().isoformat()
 
 
 def test_track_constant_series_rejects_every_window():
     series = make_change_series([5.0] * 200)
     for w in track(series, WindowSpec()):
-        assert w.stats.verdict == "reject"
-        assert w.stats.p_value < 1e-12
+        assert w.verdict == "reject"
+        assert w.p_value < 1e-12
 
 
 def test_track_all_zero_window_raises():
@@ -267,8 +283,8 @@ def test_track_group_means_separate_clean_from_shifted():
     for seed in (1, 2, 3):
         clean = make_change_series(list(generate(SynthSpec("benford", 900, seed))))
         noisy = make_change_series(list(generate(SynthSpec("uniform_digit", 900, seed))))
-        clean_chi = [w.stats.chi_square for w in track(clean, WindowSpec())]
-        noisy_chi = [w.stats.chi_square for w in track(noisy, WindowSpec())]
+        clean_chi = [w.chi_square for w in track(clean, WindowSpec())]
+        noisy_chi = [w.chi_square for w in track(noisy, WindowSpec())]
         clean_mean = sum(clean_chi) / len(clean_chi)
         noisy_mean = sum(noisy_chi) / len(noisy_chi)
         assert noisy_mean > clean_mean * 3
