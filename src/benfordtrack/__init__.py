@@ -18,7 +18,6 @@ from .stats import (
     ConformityStats,
     chebyshev_distance,
     chi_square_pvalue,
-    chi_square_statistic,
     conformity,
     critical_value,
     kl_divergence,
@@ -64,7 +63,6 @@ __all__ = [
     "ConformityStats",
     "chebyshev_distance",
     "chi_square_pvalue",
-    "chi_square_statistic",
     "conformity",
     "critical_value",
     "kl_divergence",

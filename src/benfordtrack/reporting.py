@@ -2,14 +2,15 @@
 
 A report is one table: an ordered column tuple (`PERIOD_COLUMNS` or
 `TRACK_COLUMNS`) and rows of Python scalars in that order.  The builders
-measure each series in one conformity call and make each row directly
-from its cell's measurement, and one generic renderer per format turns
-the scalars into cells by value type: the text table shows floats with
-four decimals, `-` for a missing value and Roman window labels; CSV
-carries floats at full precision via repr and leaves a missing value
-empty; JSON writes each cell as json.dumps does and accepts only None,
-bool, int, float and str cells.  Only the trend block of a track report
-is rendered apart from the rows.
+measure each series in one conformity call, whose `ConformityStats`
+columns carry the names of the report columns they fill, and take the
+measured cells of its rows from one zip over those columns.  One
+generic renderer per format turns the scalars into cells by value type:
+the text table shows floats with four decimals, `-` for a missing value
+and Roman window labels; CSV carries floats at full precision via repr
+and leaves a missing value empty; JSON writes each cell as json.dumps
+does and accepts only None, bool, int, float and str cells.  Only the
+trend block of a track report is rendered apart from the rows.
 
 Emission is deterministic: rows are ordered by entity, tenor and then
 period position or window index, and the JSON document is canonical
@@ -39,9 +40,7 @@ TRACK_COLUMNS = (
     "chi2", "p_value", "chebyshev", "kl",
 )
 
-# trend metric -> the ConformityStats field it reads
-_TREND_FIELDS = {"chi2": "chi_square", "chebyshev": "chebyshev", "kl": "kl_divergence"}
-TREND_METRICS = tuple(_TREND_FIELDS)
+TREND_METRICS = ("chi2", "chebyshev", "kl")
 
 _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"),
@@ -91,19 +90,20 @@ class Report:
                 raise ValueError(f"row {i} holds {len(row)} cells, not {len(self.columns)}")
 
 
-def fit_trend(results: Sequence[ConformityStats], metric: str) -> TrendFit:
+def fit_trend(stats: ConformityStats, metric: str) -> TrendFit:
     """Ordinary least squares of a window metric on the window index.
 
-    `results` are the windows in order, as `track` returns them, and the
-    regressor is each one's 1-based position.  A constant metric
-    sequence fits slope 0 with r_squared defined as 0.
+    `stats` holds the windows in order, as `track` returns them; the
+    metric is its column of that name and the regressor each row's
+    1-based position.  A constant metric column fits slope 0 with
+    r_squared defined as 0.
     """
-    if len(results) < 2:
+    if len(stats) < 2:
         raise ValueError("insufficient windows for trend")
-    if metric not in _TREND_FIELDS:
+    if metric not in TREND_METRICS:
         raise ValueError(f"metric must be one of {TREND_METRICS}")
-    n = len(results)
-    y = [getattr(r, _TREND_FIELDS[metric]) for r in results]
+    n = len(stats)
+    y = getattr(stats, metric)
     x = [float(i) for i in range(1, n + 1)]
     x_mean = sum(x) / n
     y_mean = sum(y) / n
@@ -152,16 +152,13 @@ def build_period_report(
     rows = []
     for s in _by_key(series):
         cells = [_period_cell(s, period) for period in periods]
-        measured = iter(conformity([h for h in cells if not isinstance(h, str)], alpha))
+        stats = conformity([h for h in cells if not isinstance(h, str)], alpha)
+        measured = zip(*(getattr(stats, name) for name in PERIOD_COLUMNS[3:]))
         for period, cell in zip(periods, cells):
             if isinstance(cell, str):
                 rows.append((s.entity, s.tenor, period.label, None, None, cell, None, None))
-                continue
-            c = next(measured)
-            rows.append((
-                s.entity, s.tenor, period.label, c.chi_square, c.p_value, c.verdict,
-                c.sample_size, c.small_sample_flag,
-            ))
+            else:
+                rows.append((s.entity, s.tenor, period.label, *next(measured)))
     return Report(PERIOD_COLUMNS, tuple(rows), dict(meta or {}))
 
 
@@ -180,17 +177,15 @@ def build_track_report(
     rows = []
     trends = []
     for s in _by_key(series):
-        results = track(s, spec, alpha)
+        stats = track(s, spec, alpha)
         bounds = [(r.start, r.stop - 1) for r in window_ranges(len(s.changes), spec)]
         spans = np.datetime_as_string(s.dates[np.array(bounds)]).tolist()
-        for index, (c, (start, end)) in enumerate(zip(results, spans), 1):
-            rows.append((
-                s.entity, s.tenor, index, start, end, c.sample_size,
-                c.chi_square, c.p_value, c.chebyshev, c.kl_divergence,
-            ))
-        if len(results) >= 2:
+        measured = zip(*(getattr(stats, name) for name in TRACK_COLUMNS[5:]))
+        for index, ((start, end), cells) in enumerate(zip(spans, measured), 1):
+            rows.append((s.entity, s.tenor, index, start, end, *cells))
+        if len(stats) >= 2:
             for metric in TREND_METRICS:
-                trends.append((s.entity, s.tenor, fit_trend(results, metric)))
+                trends.append((s.entity, s.tenor, fit_trend(stats, metric)))
     return Report(TRACK_COLUMNS, tuple(rows), dict(meta or {}), tuple(trends))
 
 

@@ -5,7 +5,9 @@ chi-square goodness-of-fit statistic with 8 degrees of freedom (9 digit
 bins minus 1) together with its upper-tail p-value in closed form, the
 Chebyshev (maximum absolute) distance between frequency vectors, and
 the Kullback-Leibler divergence of the observed frequencies from the
-reference.
+reference.  `conformity` measures any number of histograms at once and
+returns one columnar `ConformityStats` table, its columns named as the
+report columns they fill.
 """
 
 from __future__ import annotations
@@ -34,27 +36,22 @@ _REF.flags.writeable = _LOG_REF.flags.writeable = False
 
 @dataclass(frozen=True)
 class ConformityStats:
-    """One conformity measurement: test statistic, verdict and distances."""
+    """Conformity of k histograms as seven columns of k Python scalars.
 
-    chi_square: float
-    p_value: float
-    verdict: str  # "accept" or "reject"
-    chebyshev: float
-    kl_divergence: float
-    sample_size: int
-    small_sample_flag: bool
-
-
-def chi_square_statistic(h: DigitHistogram) -> float:
-    """Sum of (observed - expected)^2 / expected over the nine digit bins.
-
-    Expected counts are total * P(d) and stay real-valued; they are not
-    rounded to integers.
+    The columns are named as the report columns they fill; row i of
+    every column measures histogram i, and len() is the row count.
     """
-    total = h.total
-    if total == 0:
-        raise ValueError("empty sample")
-    return float(_chi_square(np.asarray(h.counts, dtype=float), float(total)))
+
+    n: list[int]
+    chi2: list[float]
+    p_value: list[float]
+    verdict: list[str]  # "accept" or "reject"
+    chebyshev: list[float]
+    kl: list[float]
+    small_sample: list[bool]
+
+    def __len__(self) -> int:
+        return len(self.n)
 
 
 def _chi_square(counts: np.ndarray, totals) -> np.ndarray:
@@ -150,10 +147,8 @@ def _kl(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     return (p * (np.log(p + (p == 0.0)) - log_q)).sum(axis=-1)
 
 
-def conformity(
-    histograms: Sequence[DigitHistogram], alpha: float = 0.05
-) -> list[ConformityStats]:
-    """Conformity of each digit histogram at level `alpha`, in order.
+def conformity(histograms: Sequence[DigitHistogram], alpha: float = 0.05) -> ConformityStats:
+    """Conformity of each digit histogram at level `alpha`, as one table.
 
     The verdict is "accept" exactly when the p-value is at least alpha,
     which matches thresholding the statistic at critical_value(alpha).
@@ -171,16 +166,13 @@ def conformity(
     scale = np.array(totals, dtype=float)[:, None]
     freq = counts / scale
     chi2 = _chi_square(counts, scale)
-    measures = zip(
-        totals,
-        chi2.tolist(),
-        _chi_square_tail(chi2).tolist(),
-        _chebyshev(freq, _REF).tolist(),
-        _kl(freq, _LOG_REF).tolist(),
+    p_value = _chi_square_tail(chi2).tolist()
+    return ConformityStats(
+        n=totals,
+        chi2=chi2.tolist(),
+        p_value=p_value,
+        verdict=["accept" if p >= alpha else "reject" for p in p_value],
+        chebyshev=_chebyshev(freq, _REF).tolist(),
+        kl=_kl(freq, _LOG_REF).tolist(),
+        small_sample=[n < SMALL_SAMPLE_MIN for n in totals],
     )
-    return [
-        ConformityStats(
-            stat, p, "accept" if p >= alpha else "reject", cheb, div, n, n < SMALL_SAMPLE_MIN
-        )
-        for n, stat, p, cheb, div in measures
-    ]

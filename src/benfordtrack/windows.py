@@ -89,8 +89,8 @@ def track(
     series: ChangeSeries,
     spec: WindowSpec = WindowSpec(),
     alpha: float = 0.05,
-) -> list[ConformityStats]:
-    """Conformity of each rolling window, in window order.
+) -> ConformityStats:
+    """Conformity of the rolling windows: one table row per window, in order.
 
     The windows are `window_ranges(len(series.changes), spec)`, and one
     conformity call measures all of them; each window's dates are its

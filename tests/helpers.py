@@ -65,9 +65,9 @@ def direct_kl(p, q):
 
 
 def scalar_conformity(h, alpha=0.05) -> ConformityStats:
-    """Conformity of one histogram, measured on its own length-9 vectors.
+    """Conformity of one histogram as a one-row table, from its own length-9 vectors.
 
-    The reference for the row-wise `conformity`: the same formulas
+    The reference for the columnar `conformity`: the same formulas
     reduced over one vector at a time.  KL sums all nine terms, an
     absent digit's term being zero, and the p-value is the scalar
     `chi_square_pvalue`.
@@ -90,13 +90,13 @@ def scalar_conformity(h, alpha=0.05) -> ConformityStats:
     log_ratio -= np.log(ref)
     log_ratio *= freq
     return ConformityStats(
-        chi_square=stat,
-        p_value=p,
-        verdict="accept" if p >= alpha else "reject",
-        chebyshev=float(np.abs(freq - ref).max()),
-        kl_divergence=float(log_ratio.sum()),
-        sample_size=total,
-        small_sample_flag=total < SMALL_SAMPLE_MIN,
+        n=[total],
+        chi2=[stat],
+        p_value=[p],
+        verdict=["accept" if p >= alpha else "reject"],
+        chebyshev=[float(np.abs(freq - ref).max())],
+        kl=[float(log_ratio.sum())],
+        small_sample=[total < SMALL_SAMPLE_MIN],
     )
 
 

@@ -67,20 +67,18 @@ def test_roman_rejects_nonpositive():
 
 # ---------------------------------------------------------------- trend
 
-def _stats(chi2, cheb=0.01, kl=0.02, n=90):
+def _results(chi_values, cheb=None, kl=None, n=90):
+    """A window table with these chi-square values, like `track` returns."""
+    k = len(chi_values)
     return ConformityStats(
-        chi_square=chi2,
-        p_value=0.5,
-        verdict="accept",
-        chebyshev=cheb,
-        kl_divergence=kl,
-        sample_size=n,
-        small_sample_flag=n < 109,
+        n=[n] * k,
+        chi2=list(chi_values),
+        p_value=[0.5] * k,
+        verdict=["accept"] * k,
+        chebyshev=cheb or [0.01] * k,
+        kl=kl or [0.02] * k,
+        small_sample=[n < 109] * k,
     )
-
-
-def _results(chi_values):
-    return [_stats(v) for v in chi_values]
 
 
 def test_fit_trend_recovers_an_exact_line():
@@ -105,11 +103,7 @@ def test_fit_trend_noisy_line_keeps_r_squared_in_bounds():
 
 
 def test_fit_trend_reads_the_requested_metric():
-    results = [
-        _stats(1.0, cheb=0.10, kl=0.30),
-        _stats(1.0, cheb=0.20, kl=0.20),
-        _stats(1.0, cheb=0.30, kl=0.10),
-    ]
+    results = _results([1.0] * 3, cheb=[0.10, 0.20, 0.30], kl=[0.30, 0.20, 0.10])
     assert fit_trend(results, "chebyshev").slope == pytest.approx(0.1, abs=1e-12)
     assert fit_trend(results, "kl").slope == pytest.approx(-0.1, abs=1e-12)
 
@@ -211,10 +205,10 @@ def test_build_period_report_aligns_measures_around_failed_cells():
                 assert row[3:] == (None, None, failed[period.label], None, None)
                 continue
             cell = s.slice(period.start, period.end).changes
-            c = conformity([digit_histogram(cell)], 0.1)[0]
+            c = conformity([digit_histogram(cell)], 0.1)
             assert [float.hex(v) for v in row[3:5]] == [
-                float.hex(c.chi_square), float.hex(c.p_value)]
-            assert row[5:] == (c.verdict, c.sample_size, c.small_sample_flag)
+                float.hex(c.chi2[0]), float.hex(c.p_value[0])]
+            assert row[5:] == (c.verdict[0], c.n[0], c.small_sample[0])
     assert next(rows, None) is None
 
 
@@ -279,17 +273,18 @@ def test_rows_copy_each_measurement_into_its_column():
     s = make_change_series(list(generate(SynthSpec("benford", 400, 6))), entity="AT")
     full = named_periods()[0]
     (row,) = build_period_report([s], [full], alpha=0.1).rows
-    c = conformity([digit_histogram(s.slice(full.start, full.end).changes)], 0.1)[0]
-    assert row == ("AT", "5Y", "full", c.chi_square, c.p_value, c.verdict,
-                   c.sample_size, c.small_sample_flag)
+    c = conformity([digit_histogram(s.slice(full.start, full.end).changes)], 0.1)
+    assert row == ("AT", "5Y", "full", c.chi2[0], c.p_value[0], c.verdict[0],
+                   c.n[0], c.small_sample[0])
     rows = build_track_report([s], WindowSpec(), alpha=0.1).rows
-    results = track(s, WindowSpec(), 0.1)
+    w = track(s, WindowSpec(), 0.1)
     ranges = window_ranges(len(s.changes), WindowSpec())
     assert rows == tuple(
         ("AT", "5Y", index, s.dates[r.start].item().isoformat(),
-         s.dates[r.stop - 1].item().isoformat(),
-         c.sample_size, c.chi_square, c.p_value, c.chebyshev, c.kl_divergence)
-        for index, (r, c) in enumerate(zip(ranges, results), 1)
+         s.dates[r.stop - 1].item().isoformat(), *cells)
+        for index, (r, *cells) in enumerate(
+            zip(ranges, w.n, w.chi2, w.p_value, w.chebyshev, w.kl), 1
+        )
     )
 
 

@@ -17,7 +17,6 @@ from benfordtrack import (
     benford_pmf,
     chebyshev_distance,
     chi_square_pvalue,
-    chi_square_statistic,
     conformity,
     critical_value,
     kl_divergence,
@@ -34,18 +33,23 @@ from helpers import (
 UNIFORM = tuple([1.0 / 9.0] * 9)
 
 
+def chi2_of(h: DigitHistogram) -> float:
+    """The chi-square statistic of one histogram, measured alone."""
+    return conformity([h]).chi2[0]
+
+
 # ------------------------------------------------------ chi-square stat
 
 def test_chi2_zero_when_counts_equal_expected():
     # expected counts are real-valued; inject them directly
     counts = tuple(1000.0 * p for p in benford_pmf())
     h = DigitHistogram(counts)
-    assert abs(chi_square_statistic(h)) < 1e-18
+    assert abs(chi2_of(h)) < 1e-18
 
 
 def test_chi2_uniform_counts_match_direct_formula():
     h = DigitHistogram((100,) * 9)
-    got = chi_square_statistic(h)
+    got = chi2_of(h)
     want = direct_chi2(h.counts, h.total)
     assert got == pytest.approx(want, rel=1e-12)
     # frozen value computed with the direct formula
@@ -55,12 +59,12 @@ def test_chi2_uniform_counts_match_direct_formula():
 def test_chi2_grows_when_mass_moves_to_rare_digit():
     base = DigitHistogram((301, 176, 125, 97, 79, 67, 58, 51, 46))
     moved = DigitHistogram((300, 176, 125, 97, 79, 67, 58, 51, 47))
-    assert chi_square_statistic(moved) > chi_square_statistic(base)
+    assert chi2_of(moved) > chi2_of(base)
 
 
 def test_chi2_empty_sample():
     with pytest.raises(ValueError, match="empty sample"):
-        chi_square_statistic(DigitHistogram((0,) * 9))
+        chi2_of(DigitHistogram((0,) * 9))
 
 
 @given(counts=st.lists(st.integers(0, 500), min_size=9, max_size=9))
@@ -68,7 +72,7 @@ def test_chi2_matches_direct_formula(counts):
     h = DigitHistogram(tuple(counts))
     if h.total == 0:
         return
-    assert chi_square_statistic(h) == pytest.approx(
+    assert chi2_of(h) == pytest.approx(
         direct_chi2(h.counts, h.total), rel=1e-12
     )
 
@@ -316,40 +320,40 @@ def test_kl_nonnegative_with_equality_iff_equal(p, q):
 
 def test_conformity_accept_on_near_reference_counts():
     h = DigitHistogram((301, 176, 125, 97, 79, 67, 58, 51, 46))
-    st_out = conformity([h], 0.05)[0]
-    assert st_out.verdict == "accept"
-    assert st_out.p_value > 0.9
-    assert st_out.sample_size == 1000
-    assert not st_out.small_sample_flag
+    st_out = conformity([h], 0.05)
+    assert st_out.verdict == ["accept"]
+    assert st_out.p_value[0] > 0.9
+    assert st_out.n == [1000]
+    assert st_out.small_sample == [False]
 
 
 def test_conformity_reject_on_uniform_counts():
-    st_out = conformity([DigitHistogram((100,) * 9)], 0.05)[0]
-    assert st_out.verdict == "reject"
-    assert st_out.p_value < 1e-10
+    st_out = conformity([DigitHistogram((100,) * 9)], 0.05)
+    assert st_out.verdict == ["reject"]
+    assert st_out.p_value[0] < 1e-10
 
 
 def test_conformity_verdict_threshold_is_p_value_vs_alpha():
     h = DigitHistogram((56, 29, 27, 22, 22, 13, 12, 11, 8))
-    st_out = conformity([h], 0.05)[0]
-    assert st_out.verdict == ("accept" if st_out.p_value >= 0.05 else "reject")
+    (p,) = conformity([h], 0.05).p_value
+    assert conformity([h], 0.05).verdict == ["accept" if p >= 0.05 else "reject"]
     # verdict flips once alpha crosses the p-value
-    assert conformity([h], min(st_out.p_value / 2, 0.99))[0].verdict == "accept"
+    assert conformity([h], min(p / 2, 0.99)).verdict == ["accept"]
 
 
 def test_conformity_verdict_agrees_with_critical_value():
     for counts in [(301, 176, 125, 97, 79, 67, 58, 51, 46), (100,) * 9]:
-        st_out = conformity([DigitHistogram(counts)], 0.05)[0]
-        accept = st_out.chi_square <= critical_value(0.05)
-        assert (st_out.verdict == "accept") == accept
+        st_out = conformity([DigitHistogram(counts)], 0.05)
+        accept = st_out.chi2[0] <= critical_value(0.05)
+        assert (st_out.verdict[0] == "accept") == accept
 
 
 def test_conformity_small_sample_flag_threshold():
-    assert conformity([DigitHistogram((50, 8, 4, 3, 2, 2, 2, 2, 2))])[0].small_sample_flag
+    assert conformity([DigitHistogram((50, 8, 4, 3, 2, 2, 2, 2, 2))]).small_sample[0]
     low = DigitHistogram((SMALL_SAMPLE_MIN - 1,) + (0,) * 8)
     high = DigitHistogram((SMALL_SAMPLE_MIN,) + (0,) * 8)
-    assert conformity([low])[0].small_sample_flag
-    assert not conformity([high])[0].small_sample_flag
+    assert conformity([low]).small_sample[0]
+    assert not conformity([high]).small_sample[0]
 
 
 def _single_bin(digit_and_count):
@@ -370,18 +374,26 @@ _histograms = st.one_of(
 @example(counts=(1,) + (0,) * 8)
 def test_conformity_carries_both_distances(counts):
     h = DigitHistogram(counts)
-    st_out = conformity([h])[0]
+    st_out = conformity([h])
     freq = np.asarray(h.counts, dtype=float) / h.total
-    assert st_out.chi_square == chi_square_statistic(h)
-    assert st_out.chebyshev == chebyshev_distance(freq, benford_pmf())
-    assert st_out.kl_divergence == kl_divergence(freq, benford_pmf())
+    assert st_out.chi2 == [chi2_of(h)]
+    assert st_out.chebyshev == [chebyshev_distance(freq, benford_pmf())]
+    assert st_out.kl == [kl_divergence(freq, benford_pmf())]
+
+
+def _columns(table: ConformityStats) -> dict:
+    return {field.name: getattr(table, field.name) for field in fields(ConformityStats)}
+
+
+def _hex_or_value(v):
+    return v.hex() if isinstance(v, float) else v
 
 
 def _assert_same_bits(got: ConformityStats, want: ConformityStats) -> None:
-    for field in fields(ConformityStats):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert type(a) is type(b), field.name
-        assert a.hex() == b.hex() if isinstance(b, float) else a == b, field.name
+    for name, column in _columns(want).items():
+        mine = getattr(got, name)
+        assert list(map(type, mine)) == list(map(type, column)), name
+        assert list(map(_hex_or_value, mine)) == list(map(_hex_or_value, column)), name
 
 
 @given(
@@ -391,11 +403,27 @@ def _assert_same_bits(got: ConformityStats, want: ConformityStats) -> None:
 @example(batch=[(1,) + (0,) * 8, (100,) * 9, (0,) * 8 + (2**80,)], alpha=0.05)
 def test_conformity_rows_equal_the_scalar_oracle_in_order(batch, alpha):
     histograms = [DigitHistogram(counts) for counts in batch]
-    rows = conformity(histograms, alpha)
-    assert len(rows) == len(histograms)
-    for h, row in zip(histograms, rows):
-        _assert_same_bits(row, scalar_conformity(h, alpha))
-    assert conformity(histograms[::-1], alpha) == rows[::-1]
+    table = conformity(histograms, alpha)
+    assert len(table) == len(histograms)
+    singles = [_columns(scalar_conformity(h, alpha)) for h in histograms]
+    _assert_same_bits(
+        table,
+        ConformityStats(**{name: [v for one in singles for v in one[name]] for name in singles[0]}),
+    )
+    reversed_table = ConformityStats(**{k: v[::-1] for k, v in _columns(table).items()})
+    assert conformity(histograms[::-1], alpha) == reversed_table
+
+
+@given(batch=st.lists(_histograms, max_size=20))
+def test_conformity_columns_hold_k_python_scalars(batch):
+    # the JSON renderer takes only exact Python scalars, never numpy ones
+    table = conformity([DigitHistogram(counts) for counts in batch])
+    kinds = {"n": int, "chi2": float, "p_value": float, "verdict": str,
+             "chebyshev": float, "kl": float, "small_sample": bool}
+    assert list(_columns(table)) == list(kinds)
+    for name, column in _columns(table).items():
+        assert type(column) is list and len(column) == len(batch) == len(table), name
+        assert all(type(v) is kinds[name] for v in column), name
 
 
 _CALIBRATION_DRAWS = 50_000
@@ -411,16 +439,16 @@ def test_small_samples_keep_the_nominal_size(n):
     alpha = 0.05
     rng = np.random.Generator(np.random.PCG64(20_450 + n))
     draws = rng.multinomial(n, benford_pmf(), size=_CALIBRATION_DRAWS)
-    rows = conformity(list(map(DigitHistogram, map(tuple, draws.tolist()))), alpha)
-    assert all(row.small_sample_flag for row in rows)
-    rate = sum(row.verdict == "reject" for row in rows) / _CALIBRATION_DRAWS
+    table = conformity(list(map(DigitHistogram, map(tuple, draws.tolist()))), alpha)
+    assert all(table.small_sample)
+    rate = table.verdict.count("reject") / _CALIBRATION_DRAWS
     tolerance = 5.0 * math.sqrt(alpha * (1.0 - alpha) / _CALIBRATION_DRAWS)
     assert abs(rate - alpha) <= tolerance
 
 
 def test_conformity_is_reproducible():
     h = DigitHistogram((56, 29, 27, 22, 22, 13, 12, 11, 8))
-    assert conformity([h], 0.05)[0] == conformity([h], 0.05)[0]
+    assert conformity([h], 0.05) == conformity([h], 0.05)
 
 
 def test_conformity_validation():
@@ -433,6 +461,6 @@ def test_conformity_validation():
     # a batch: any empty histogram in it fails the call; no histograms, no rows
     with pytest.raises(ValueError, match="empty sample"):
         conformity([DigitHistogram((1,) * 9), DigitHistogram((0,) * 9, excluded=4)])
-    assert conformity([]) == []
+    assert conformity([]) == ConformityStats([], [], [], [], [], [], [])
     with pytest.raises(ValueError, match="alpha"):
         conformity([], alpha=1.0)

@@ -1,6 +1,7 @@
 """Named periods, window geometry, period rows and rolling tracks."""
 
 import math
+from dataclasses import fields
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benfordtrack import (
+    ConformityStats,
     PeriodSpec,
     SynthSpec,
     WindowSpec,
@@ -178,8 +180,13 @@ def test_window_ranges_partition_when_step_equals_length():
 # -------------------------------------------------------- period slicing
 
 def _measures(c):
-    """The measurement cells of a period row, from one ConformityStats."""
-    return (c.chi_square, c.p_value, c.verdict, c.sample_size, c.small_sample_flag)
+    """The measurement cells of a period row, from a one-row ConformityStats."""
+    return (c.chi2[0], c.p_value[0], c.verdict[0], c.n[0], c.small_sample[0])
+
+
+def _row(table, i):
+    """Row i of a ConformityStats table, as a one-row table."""
+    return ConformityStats(**{f.name: getattr(table, f.name)[i : i + 1] for f in fields(table)})
 
 
 def test_period_rows_slice_by_date():
@@ -189,7 +196,7 @@ def test_period_rows_slice_by_date():
     period = PeriodSpec("head", dates[0], mid)
     (row,) = build_period_report([series], [period]).rows
     head = [v for d, v in zip(dates, series.changes) if d <= mid]
-    manual = conformity([digit_histogram(head)])[0]
+    manual = conformity([digit_histogram(head)])
     assert row[3:] == _measures(manual)
     assert digit_histogram(series.slice(dates[0], mid).changes) == digit_histogram(head)
 
@@ -212,9 +219,7 @@ def test_sub_periods_concatenate_to_post2010():
     for column in ("dates", "changes"):
         joined = np.concatenate([getattr(crisis, column), getattr(post, column)])
         assert np.array_equal(joined, getattr(both, column))
-    merged = conformity(
-        [digit_histogram(list(crisis.changes) + list(post.changes))]
-    )[0]
+    merged = conformity([digit_histogram(list(crisis.changes) + list(post.changes))])
     (row,) = build_period_report([series], [periods["post2010"]]).rows
     assert row[3:] == _measures(merged)
 
@@ -244,13 +249,14 @@ def test_track_windows_match_direct_conformity():
     ranges = window_ranges(len(values), spec)
     rows = build_track_report([series], spec).rows
     assert len(results) == len(ranges) == len(rows)
-    for w, r, row in zip(results, ranges, rows):
+    for i, (r, row) in enumerate(zip(ranges, rows)):
         chunk = values[r.start : r.stop]
-        direct = conformity([digit_histogram(chunk)])[0]
+        direct = conformity([digit_histogram(chunk)])
+        w = _row(results, i)
         assert w == direct
         assert row[3] == series.dates[r.start].item().isoformat()
         assert row[4] == series.dates[r.stop - 1].item().isoformat()
-        assert w.sample_size == len(chunk)  # benford draws hold no zero
+        assert w.n == [len(chunk)]  # benford draws hold no zero
 
 
 def test_track_window_dates_come_from_the_data():
@@ -266,9 +272,20 @@ def test_track_window_dates_come_from_the_data():
 
 def test_track_constant_series_rejects_every_window():
     series = make_change_series([5.0] * 200)
-    for w in track(series, WindowSpec()):
-        assert w.verdict == "reject"
-        assert w.p_value < 1e-12
+    w = track(series, WindowSpec())
+    for verdict, p in zip(w.verdict, w.p_value, strict=True):
+        assert verdict == "reject"
+        assert p < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, spec",
+    [(400, WindowSpec()), (1750, WindowSpec()), (90, WindowSpec()), (50, WindowSpec()),
+     (107, WindowSpec(20, 20, 0.25)), (300, WindowSpec(7, 3, 1.0)), (11, WindowSpec(1, 1))],
+)
+def test_track_has_one_row_per_window(n, spec):
+    s = make_change_series(list(generate(SynthSpec("benford", n, n))))
+    assert len(track(s, spec)) == len(window_ranges(len(s.changes), spec))
 
 
 def test_track_all_zero_window_raises():
@@ -283,8 +300,8 @@ def test_track_group_means_separate_clean_from_shifted():
     for seed in (1, 2, 3):
         clean = make_change_series(list(generate(SynthSpec("benford", 900, seed))))
         noisy = make_change_series(list(generate(SynthSpec("uniform_digit", 900, seed))))
-        clean_chi = [w.chi_square for w in track(clean, WindowSpec())]
-        noisy_chi = [w.chi_square for w in track(noisy, WindowSpec())]
+        clean_chi = track(clean, WindowSpec()).chi2
+        noisy_chi = track(noisy, WindowSpec()).chi2
         clean_mean = sum(clean_chi) / len(clean_chi)
         noisy_mean = sum(noisy_chi) / len(noisy_chi)
         assert noisy_mean > clean_mean * 3
