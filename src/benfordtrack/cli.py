@@ -185,6 +185,8 @@ def _run_report(parser: _Parser, args):
     """
     if not 0.0 < args.alpha < 1.0:
         parser.error("alpha must lie in (0, 1)")
+    if args.max_gap_days is not None and args.max_gap_days < 1:
+        parser.error("--max-gap-days must be at least 1")
     if (args.date_from is None) != (args.date_to is None):
         parser.error("--from and --to must be given together")
     if args.date_from is not None and args.date_from > args.date_to:

@@ -489,7 +489,8 @@ def daily_changes(
         raise ValueError("series too short")
     deltas = np.diff(spreads)
     if mode == "relative":
-        deltas /= spreads[:-1]
+        with np.errstate(over="ignore"):  # an overflow is a non-finite change
+            deltas /= spreads[:-1]
     dates = series.dates[1:]  # a read-only view
     dropped = 0
     if max_gap_days is not None:

@@ -269,6 +269,35 @@ def test_analyze_alpha_validated_before_input(tmp_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "track"])
+@pytest.mark.parametrize("days", ["0", "-3"])
+def test_max_gap_days_below_one_is_a_usage_error_before_input(command, days, tmp_path, capsys):
+    code, out, err = run_cli(
+        [command, "--input", str(tmp_path / "missing.csv"), "--max-gap-days", days],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--max-gap-days must be at least 1" in err
+    assert "missing.csv" not in err
+
+
+def test_relative_change_overflow_is_a_quiet_non_finite_row(tmp_path):
+    # 1e300 / 1e-300 overflows: the row is annotated and nothing is warned
+    panel = tmp_path / "p.csv"
+    panel.write_text(
+        "date,entity,tenor,spread_bps\n"
+        "2010-01-04,X,5Y,1e-300\n2010-01-05,X,5Y,1e300\n2010-01-06,X,5Y,2.0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "benfordtrack", "analyze", "--input",
+         str(panel), "--change-mode", "relative", "--period", "full", "--format", "csv"],
+        capture_output=True, env=cli_env(), cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().splitlines()[1] == "X,5Y,full,,,non-finite value,,"
+
+
 def test_analyze_missing_input_is_a_data_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["analyze", "--input", str(tmp_path / "missing.csv")], capsys
