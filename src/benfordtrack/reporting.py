@@ -112,11 +112,8 @@ def fit_trend(stats: ConformityStats, metric: str) -> TrendFit:
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
     ss_tot = sum((yi - y_mean) ** 2 for yi in y)
-    if ss_tot == 0.0:
-        r_squared = 0.0
-    else:
-        ss_res = sum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, y))
-        r_squared = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+    # sxy^2 / (sxx ss_tot) equals 1 - ss_res / ss_tot without its cancellation
+    r_squared = min(1.0, sxy * sxy / (sxx * ss_tot)) if ss_tot else 0.0
     return TrendFit(metric, slope, intercept, r_squared)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 from datetime import date
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def test_fit_trend_noisy_line_keeps_r_squared_in_bounds():
     fit = fit_trend(_results([1.0, 3.5, 2.0, 5.0, 4.5]), "chi2")
     assert 0.0 <= fit.r_squared <= 1.0
     assert fit.slope > 0.0
+
+
+def test_fit_trend_r_squared_of_a_near_flat_series_matches_exact_arithmetic():
+    # a trend a million times weaker than noise that is uncorrelated with the
+    # index (+ - - + repeated): r_squared is near 3e-9, where 1 - ss_res / ss_tot
+    # would keep only about seven digits
+    y = [5.0 + (0.1, -0.1, -0.1, 0.1)[i % 4] + 1e-7 * i for i in range(200)]
+    fit = fit_trend(_results(y), "chi2")
+    xs = [Fraction(i) for i in range(1, len(y) + 1)]
+    ys = [Fraction(v) for v in y]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+    sxx = sum((a - x_mean) ** 2 for a in xs)
+    syy = sum((b - y_mean) ** 2 for b in ys)
+    want = float(sxy * sxy / (sxx * syy))
+    assert 0.0 < want < 1e-6
+    assert fit.r_squared == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_fit_trend_reads_the_requested_metric():
