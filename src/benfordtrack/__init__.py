@@ -16,11 +16,8 @@ from .stats import (
     DEGREES_OF_FREEDOM,
     SMALL_SAMPLE_MIN,
     ConformityStats,
-    chebyshev_distance,
     chi_square_pvalue,
     conformity,
-    critical_value,
-    kl_divergence,
 )
 from .panel import (
     ChangeSeries,
@@ -61,11 +58,8 @@ __all__ = [
     "DEGREES_OF_FREEDOM",
     "SMALL_SAMPLE_MIN",
     "ConformityStats",
-    "chebyshev_distance",
     "chi_square_pvalue",
     "conformity",
-    "critical_value",
-    "kl_divergence",
     "ChangeSeries",
     "PanelFormatError",
     "SpreadSeries",

@@ -22,16 +22,16 @@ from .digits import DigitHistogram, benford_pmf
 
 DEGREES_OF_FREEDOM = 8
 
-# Below this sample size at least one expected digit count drops under
-# the usual chi-square validity floor of 5 (5 / P(9) ~ 109), so results
-# are flagged rather than suppressed.
-SMALL_SAMPLE_MIN = 109
-
 # The reference law and its natural log, read-only; conformity uses them
 # on every call.
 _REF = benford_pmf()
 _LOG_REF = np.log(_REF)
 _REF.flags.writeable = _LOG_REF.flags.writeable = False
+
+# The smallest sample whose every expected digit count n * P(9) reaches
+# the usual chi-square validity floor of 5 (110, as 109 * P(9) = 4.988);
+# results on smaller samples are flagged rather than suppressed.
+SMALL_SAMPLE_MIN = math.ceil(5.0 / _REF[-1])
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,6 @@ class ConformityStats:
 
     def __len__(self) -> int:
         return len(self.n)
-
-
-def _chi_square(counts: np.ndarray, totals) -> np.ndarray:
-    """Chi-square over the last axis; `totals` broadcasts against `counts`."""
-    expected = totals * _REF
-    return ((counts - expected) ** 2 / expected).sum(axis=-1)
 
 
 def _chi_square_tail(stat) -> np.ndarray:
@@ -86,76 +80,14 @@ def chi_square_pvalue(stat: float) -> float:
     return float(_chi_square_tail(np.float64(stat)))
 
 
-def critical_value(alpha: float) -> float:
-    """Statistic value whose upper-tail p-value equals `alpha`.
-
-    Derived from chi_square_pvalue by bisection rather than from a
-    table, so verdicts and reported thresholds can never disagree.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    lo, hi = 0.0, 1.0
-    while chi_square_pvalue(hi) > alpha:  # p rounds to 0 above about 1,525
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi_square_pvalue(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _frequency_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (9,):
-        raise ValueError("frequency vector must have nine entries")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("frequency vector entries must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("frequency vector entries must lie in [0, 1]")
-    return arr
-
-
-def chebyshev_distance(p_obs, p_ref) -> float:
-    """Maximum absolute componentwise gap between two frequency vectors."""
-    return float(_chebyshev(_frequency_vector(p_obs), _frequency_vector(p_ref)))
-
-
-def _chebyshev(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.abs(p - q).max(axis=-1)
-
-
-def kl_divergence(p_obs, p_ref) -> float:
-    """Kullback-Leibler divergence sum p * ln(p / q) in nats.
-
-    Zero observed components contribute zero (the 0 * ln 0 limit); a
-    zero anywhere in the reference makes the divergence undefined and
-    raises instead of returning infinity.
-    """
-    p = _frequency_vector(p_obs)
-    q = _frequency_vector(p_ref)
-    if np.any(q <= 0.0):
-        raise ValueError("reference support violation")
-    return float(_kl(p, np.log(q)))
-
-
-def _kl(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """KL over the last axis: all nine terms, an absent digit's being 0."""
-    return (p * (np.log(p + (p == 0.0)) - log_q)).sum(axis=-1)
-
-
 def conformity(histograms: Sequence[DigitHistogram], alpha: float = 0.05) -> ConformityStats:
     """Conformity of each digit histogram at level `alpha`, as one table.
 
-    The verdict is "accept" exactly when the p-value is at least alpha,
-    which matches thresholding the statistic at critical_value(alpha).
+    The verdict is "accept" exactly when the p-value is at least alpha.
     Samples smaller than SMALL_SAMPLE_MIN are flagged, never dropped.
-    The measures reduce the rows of one (k x 9) count matrix through
-    the kernels of the one-sample functions, so each row has the bits
-    of its histogram measured alone.
+    The measures reduce the rows of one (k x 9) count matrix, so each
+    row has the bits of its histogram measured alone.  KL sums all nine
+    terms p * (ln p - ln q), an absent digit's term being 0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -165,14 +97,15 @@ def conformity(histograms: Sequence[DigitHistogram], alpha: float = 0.05) -> Con
     counts = np.array([h.counts for h in histograms], dtype=float).reshape(len(totals), 9)
     scale = np.array(totals, dtype=float)[:, None]
     freq = counts / scale
-    chi2 = _chi_square(counts, scale)
+    expected = scale * _REF
+    chi2 = ((counts - expected) ** 2 / expected).sum(axis=-1)
     p_value = _chi_square_tail(chi2).tolist()
     return ConformityStats(
         n=totals,
         chi2=chi2.tolist(),
         p_value=p_value,
         verdict=["accept" if p >= alpha else "reject" for p in p_value],
-        chebyshev=_chebyshev(freq, _REF).tolist(),
-        kl=_kl(freq, _LOG_REF).tolist(),
+        chebyshev=np.abs(freq - _REF).max(axis=-1).tolist(),
+        kl=(freq * (np.log(freq + (freq == 0.0)) - _LOG_REF)).sum(axis=-1).tolist(),
         small_sample=[n < SMALL_SAMPLE_MIN for n in totals],
     )

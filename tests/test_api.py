@@ -9,8 +9,7 @@ import benfordtrack
 EXPORTED = {
     "DigitHistogram", "benford_pmf", "digit_histogram", "first_significant_digit",
     "DEGREES_OF_FREEDOM", "SMALL_SAMPLE_MIN", "ConformityStats",
-    "chebyshev_distance", "chi_square_pvalue", "conformity", "critical_value",
-    "kl_divergence",
+    "chi_square_pvalue", "conformity",
     "ChangeSeries", "PanelFormatError", "SpreadSeries", "daily_changes",
     "parse_panel", "serialize_panel",
     "PeriodSpec", "WindowSpec", "named_periods", "track", "window_ranges",
@@ -31,7 +30,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 33
+    assert len(EXPORTED) == 30
     assert sorted(benfordtrack.__all__) == sorted(EXPORTED)
     for name in EXPORTED:
         assert getattr(benfordtrack, name) is not None

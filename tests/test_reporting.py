@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from benfordtrack import (
+    SMALL_SAMPLE_MIN,
     ConformityStats,
     Report,
     SynthSpec,
@@ -78,7 +79,7 @@ def _results(chi_values, cheb=None, kl=None, n=90):
         verdict=["accept"] * k,
         chebyshev=cheb or [0.01] * k,
         kl=kl or [0.02] * k,
-        small_sample=[n < 109] * k,
+        small_sample=[n < SMALL_SAMPLE_MIN] * k,
     )
 
 

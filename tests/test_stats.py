@@ -15,11 +15,8 @@ from benfordtrack import (
     ConformityStats,
     DigitHistogram,
     benford_pmf,
-    chebyshev_distance,
     chi_square_pvalue,
     conformity,
-    critical_value,
-    kl_divergence,
 )
 from helpers import (
     chi2_tail_decimal,
@@ -29,8 +26,6 @@ from helpers import (
     direct_kl,
     scalar_conformity,
 )
-
-UNIFORM = tuple([1.0 / 9.0] * 9)
 
 
 def chi2_of(h: DigitHistogram) -> float:
@@ -188,132 +183,56 @@ def test_pvalue_input_validation():
         chi_square_pvalue(math.inf)
 
 
-def test_pvalue_and_critical_value_take_no_degrees_of_freedom():
+def test_pvalue_takes_no_degrees_of_freedom():
     with pytest.raises(TypeError):
         chi_square_pvalue(1.0, 8)
-    with pytest.raises(TypeError):
-        critical_value(0.05, 8)
 
 
-def test_critical_value_reproduces_classic_threshold():
-    assert critical_value(0.05) == pytest.approx(15.507, abs=5e-4)
+# ------------------------------------------------------ chebyshev and kl
+
+# The reference law written out here, and the closed forms of each
+# histogram's two distances from it.
+_P = [math.log10(1.0 + 1.0 / d) for d in range(1, 10)]
+_MEAN_LOG_P = sum(map(math.log, _P)) / 9
+_MEAN_LOG_P_TAIL = sum(map(math.log, _P[1:])) / 8
 
 
-@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
-def test_critical_value_round_trips_through_pvalue(alpha):
-    assert chi_square_pvalue(critical_value(alpha)) == pytest.approx(alpha, abs=1e-9)
+@pytest.mark.parametrize(
+    "counts, chebyshev, kl",
+    [
+        # the gap is attained at digit 1; 0.190 and 0.191 to three places
+        ((1,) * 9, _P[0] - 1.0 / 9.0, -math.log(9.0) - _MEAN_LOG_P),
+        # a missing top digit: the gap is its whole mass
+        ((0,) + (1,) * 8, _P[0], -math.log(8.0) - _MEAN_LOG_P_TAIL),
+        # a point mass on digit 1: KL is -ln log10(2)
+        ((1,) + (0,) * 8, 1.0 - _P[0], -math.log(math.log10(2.0))),
+        # zero components add nothing: only digits 1 and 2 have KL terms
+        ((1, 1) + (0,) * 7, 0.5 - _P[1], -math.log(2.0) - 0.5 * math.log(_P[0] * _P[1])),
+        # a missing bottom digit: the gap stays at digit 1
+        ((1,) * 8 + (0,), _P[0] - 1.0 / 8.0, -math.log(8.0) - sum(map(math.log, _P[:8])) / 8),
+        # half on each end: the gap moves to digit 9
+        ((1,) + (0,) * 7 + (1,), 0.5 - _P[8], -math.log(2.0) - 0.5 * math.log(_P[0] * _P[8])),
+    ],
+    ids=[
+        "uniform", "missing-top-digit", "point-mass", "zero-components",
+        "missing-bottom-digit", "both-ends",
+    ],
+)
+def test_conformity_distances_of_known_histograms(counts, chebyshev, kl):
+    table = conformity([DigitHistogram(counts)])
+    assert table.chebyshev[0] == pytest.approx(chebyshev, rel=1e-12)
+    assert table.kl[0] == pytest.approx(kl, rel=1e-12)
+    if counts[0] == 0:
+        assert table.chebyshev[0] == benford_pmf()[0]
 
 
-def test_critical_value_brackets_the_smallest_alpha():
-    stat = critical_value(5e-324)
-    assert 1000.0 < stat < 2048.0
-    assert chi_square_pvalue(stat) <= 5e-324
-
-
-def test_critical_value_alpha_validation():
-    with pytest.raises(ValueError):
-        critical_value(0.0)
-    with pytest.raises(ValueError):
-        critical_value(1.0)
-
-
-# ----------------------------------------------------------- chebyshev
-
-def test_chebyshev_zero_on_identical_vectors():
-    assert chebyshev_distance(benford_pmf(), benford_pmf()) == 0.0
-
-
-def test_chebyshev_uniform_vs_reference():
-    d = chebyshev_distance(UNIFORM, benford_pmf())
-    assert d == pytest.approx(direct_chebyshev(UNIFORM, benford_pmf()), rel=1e-12)
-    # frozen value; the gap is attained at digit 1
-    assert d == pytest.approx(0.1899188845528701, rel=1e-12)
-    assert d == pytest.approx(0.190, abs=1e-3)
-
-
-def test_chebyshev_missing_top_digit_gap_equals_its_mass():
-    pmf = benford_pmf()
-    obs = pmf.copy()
-    obs[0] = 0.0
-    obs /= obs.sum()
-    assert chebyshev_distance(obs, pmf) == pmf[0]
-
-
-def test_chebyshev_validation():
-    with pytest.raises(ValueError):
-        chebyshev_distance([0.5] * 8, UNIFORM)
-    with pytest.raises(ValueError):
-        chebyshev_distance([1.5] + [0.0] * 8, UNIFORM)
-    with pytest.raises(ValueError):
-        chebyshev_distance([-0.1] + [0.1] * 8, UNIFORM)
-
-
-_weights = st.lists(st.integers(1, 1000), min_size=9, max_size=9)
-
-
-def _normalize(w):
-    total = float(sum(w))
-    return [x / total for x in w]
-
-
-@given(p=_weights, q=_weights)
-def test_chebyshev_symmetric_and_bounded(p, q):
-    p, q = _normalize(p), _normalize(q)
-    d = chebyshev_distance(p, q)
-    assert d == chebyshev_distance(q, p)
-    assert 0.0 <= d <= 1.0
-
-
-@given(p=_weights, q=_weights, r=_weights)
-def test_chebyshev_triangle_inequality(p, q, r):
-    p, q, r = _normalize(p), _normalize(q), _normalize(r)
-    assert chebyshev_distance(p, r) <= (
-        chebyshev_distance(p, q) + chebyshev_distance(q, r) + 1e-15
-    )
-
-
-# ------------------------------------------------------------------ kl
-
-def test_kl_zero_on_identical_vectors():
-    assert kl_divergence(benford_pmf(), benford_pmf()) == 0.0
-
-
-def test_kl_uniform_vs_reference():
-    d = kl_divergence(UNIFORM, benford_pmf())
-    assert d == pytest.approx(direct_kl(UNIFORM, benford_pmf()), rel=1e-12)
-    assert d == pytest.approx(0.19120540010462062, rel=1e-12)
-    assert d == pytest.approx(0.191, abs=1e-3)
-
-
-def test_kl_point_mass_on_digit_one():
-    delta = [1.0] + [0.0] * 8
-    d = kl_divergence(delta, benford_pmf())
-    assert d == pytest.approx(math.log(1.0 / benford_pmf()[0]), rel=1e-12)
-    assert d == pytest.approx(1.200, abs=1e-3)
-
-
-def test_kl_zero_observed_components_contribute_nothing():
-    obs = [0.5, 0.5] + [0.0] * 7
-    want = direct_kl(obs, benford_pmf())
-    assert kl_divergence(obs, benford_pmf()) == pytest.approx(want, rel=1e-12)
-
-
-def test_kl_rejects_unsupported_reference():
-    ref = [0.0] + [0.125] * 8
-    with pytest.raises(ValueError, match="reference support violation"):
-        kl_divergence(UNIFORM, ref)
-
-
-@given(p=_weights, q=_weights)
-def test_kl_nonnegative_with_equality_iff_equal(p, q):
-    pn, qn = _normalize(p), _normalize(q)
-    d = kl_divergence(pn, qn)
-    assert d >= 0.0
-    # well-separated vectors must have strictly positive divergence;
-    # closer pairs sit under the float noise floor of the 9-term sum
-    if direct_chebyshev(pn, qn) > 1e-6:
-        assert d > 0.0
-    assert kl_divergence(pn, pn) == 0.0
+@pytest.mark.parametrize("digit", range(1, 10))
+def test_conformity_distances_of_a_point_mass(digit):
+    # all mass on one digit: the gap is the rest of the law, KL is -ln P(d)
+    counts = tuple(7 if d == digit else 0 for d in range(1, 10))
+    table = conformity([DigitHistogram(counts)])
+    assert table.chebyshev[0] == pytest.approx(1.0 - _P[digit - 1], rel=1e-12)
+    assert table.kl[0] == pytest.approx(-math.log(_P[digit - 1]), rel=1e-12)
 
 
 # ---------------------------------------------------------- conformity
@@ -341,11 +260,25 @@ def test_conformity_verdict_threshold_is_p_value_vs_alpha():
     assert conformity([h], min(p / 2, 0.99)).verdict == ["accept"]
 
 
-def test_conformity_verdict_agrees_with_critical_value():
-    for counts in [(301, 176, 125, 97, 79, 67, 58, 51, 46), (100,) * 9]:
-        st_out = conformity([DigitHistogram(counts)], 0.05)
-        accept = st_out.chi2[0] <= critical_value(0.05)
-        assert (st_out.verdict[0] == "accept") == accept
+@pytest.mark.parametrize(
+    "alpha, table_value",
+    [(0.2, 11.030), (0.1, 13.362), (0.05, 15.507), (0.01, 20.090), (0.001, 26.124)],
+)
+def test_conformity_verdict_agrees_with_table_critical_values(alpha, table_value):
+    # the printed 8-degree critical values, to their three decimals
+    low, high = table_value - 5e-4, table_value + 5e-4
+    assert chi_square_pvalue(low) > alpha > chi_square_pvalue(high)
+    # move mass from digit 1 to digit 9 until the statistic crosses it
+    batch = [
+        DigitHistogram((301 - m, 176, 125, 97, 79, 67, 58, 51, 46 + m)) for m in range(60)
+    ]
+    table = conformity(batch, alpha)
+    verdicts = set()
+    for chi2, verdict in zip(table.chi2, table.verdict):
+        if not low <= chi2 <= high:
+            assert (verdict == "accept") == (chi2 < table_value)
+        verdicts.add(verdict)
+    assert verdicts == {"accept", "reject"}
 
 
 def test_conformity_small_sample_flag_threshold():
@@ -354,6 +287,12 @@ def test_conformity_small_sample_flag_threshold():
     high = DigitHistogram((SMALL_SAMPLE_MIN,) + (0,) * 8)
     assert conformity([low]).small_sample[0]
     assert not conformity([high]).small_sample[0]
+    # the floor is where every expected count n * P(9) reaches 5:
+    # 109 * P(9) = 4.988 is an invalid chi-square cell, 110 * P(9) = 5.033
+    assert type(SMALL_SAMPLE_MIN) is int
+    assert (SMALL_SAMPLE_MIN - 1) * _P[-1] < 5.0 <= SMALL_SAMPLE_MIN * _P[-1]
+    below, at = DigitHistogram((109,) + (0,) * 8), DigitHistogram((110,) + (0,) * 8)
+    assert conformity([below, at]).small_sample == [True, False]
 
 
 def _single_bin(digit_and_count):
@@ -369,16 +308,62 @@ _histograms = st.one_of(
 ).filter(any)
 
 
+def _one_row(counts):
+    table = conformity([DigitHistogram(counts)])
+    return table.n[0], table.chi2[0], table.chebyshev[0], table.kl[0]
+
+
 @given(counts=_histograms)
 @example(counts=(100,) * 9)
 @example(counts=(1,) + (0,) * 8)
 def test_conformity_carries_both_distances(counts):
     h = DigitHistogram(counts)
-    st_out = conformity([h])
-    freq = np.asarray(h.counts, dtype=float) / h.total
-    assert st_out.chi2 == [chi2_of(h)]
-    assert st_out.chebyshev == [chebyshev_distance(freq, benford_pmf())]
-    assert st_out.kl == [kl_divergence(freq, benford_pmf())]
+    _, chi2, cheb, kl = _one_row(counts)
+    freq = [c / h.total for c in h.counts]
+    assert chi2 == pytest.approx(direct_chi2(h.counts, h.total), rel=1e-9)
+    assert cheb == pytest.approx(direct_chebyshev(freq, _P), rel=1e-12)
+    assert kl == pytest.approx(direct_kl(freq, _P), rel=1e-9, abs=1e-15)
+
+
+@given(counts=_histograms)
+@example(counts=(0,) * 8 + (1,))
+def test_conformity_distances_are_bounded(counts):
+    # no frequency vector is further from the law than a point mass on 9
+    pmf = benford_pmf()
+    _, _, cheb, kl = _one_row(counts)
+    assert 0.0 <= cheb <= 1.0 - pmf[8]
+    assert -1e-15 <= kl <= -math.log(pmf[8]) * (1.0 + 1e-12)
+
+
+@given(counts=_histograms)
+def test_conformity_distances_satisfy_pinsker(counts):
+    # KL >= 2 TV^2, and total variation is at least the Chebyshev gap
+    _, _, cheb, kl = _one_row(counts)
+    assert kl >= 2.0 * cheb * cheb - 1e-15
+
+
+@given(counts=_histograms)
+def test_conformity_kl_is_at_most_log_one_plus_chi2_over_n(counts):
+    # Jensen: sum p ln(p/q) <= ln sum p^2/q = ln(1 + chi2 / n)
+    n, chi2, _, kl = _one_row(counts)
+    assert kl <= math.log1p(chi2 / n) * (1.0 + 1e-9) + 1e-15
+
+
+@given(counts=_histograms)
+def test_conformity_chi2_bounds_the_chebyshev_gap(counts):
+    # chi2 / n = sum (p - q)^2 / q >= gap^2 / max q, the largest q being P(1)
+    n, chi2, cheb, _ = _one_row(counts)
+    assert chi2 / n * (1.0 + 1e-9) + 1e-15 >= cheb * cheb / _P[0]
+
+
+@given(counts=_histograms, shift=st.integers(1, 10))
+def test_conformity_distances_are_scale_free(counts, shift):
+    # scaling every count by a power of two is exact in binary floating point
+    _, chi2, cheb, kl = _one_row(counts)
+    _, scaled_chi2, scaled_cheb, scaled_kl = _one_row(tuple(c << shift for c in counts))
+    assert scaled_cheb.hex() == cheb.hex()
+    assert scaled_kl.hex() == kl.hex()
+    assert scaled_chi2 == chi2 * 2**shift
 
 
 def _columns(table: ConformityStats) -> dict:
