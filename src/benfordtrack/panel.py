@@ -137,17 +137,17 @@ class ChangeSeries:
     dropped: int = 0
 
     def slice(self, start: date, end: date) -> "ChangeSeries":
-        """Changes dated within [start, end] inclusive, order preserved."""
+        """Changes dated within [start, end] inclusive, order preserved.
+
+        The slice keeps the whole series' `dropped` count: it does not
+        count only the gap-dropped pairs that fall within [start, end].
+        """
         if start > end:
             raise ValueError("slice start must not be after its end")
         lo = np.searchsorted(self.dates, np.datetime64(start, "D"), side="left")
         hi = np.searchsorted(self.dates, np.datetime64(end, "D"), side="right")
         return ChangeSeries(
-            self.entity,
-            self.tenor,
-            self.dates[lo:hi],
-            self.changes[lo:hi],
-            self.dropped,
+            self.entity, self.tenor, self.dates[lo:hi], self.changes[lo:hi], self.dropped
         )
 
 

@@ -1,16 +1,16 @@
 """Report assembly and emission as aligned text, CSV or JSON.
 
-A report is one table: an ordered column tuple (`PERIOD_COLUMNS` or
-`TRACK_COLUMNS`) and rows of Python scalars in that order.  The builders
-measure each series in one conformity call, whose `ConformityStats`
-columns carry the names of the report columns they fill, and take the
-measured cells of its rows from one zip over those columns.  One
-generic renderer per format turns the scalars into cells by value type:
+A report is one table held as columns: a dict from each column name of
+`PERIOD_COLUMNS` or `TRACK_COLUMNS`, in that order, to its list of
+Python scalars.  The builders measure each series in one conformity
+call, whose `ConformityStats` columns carry the names of the report
+columns they fill, and extend the report columns with them.  One
+generic renderer per format turns each column into cells by value type:
 the text table shows floats with four decimals, `-` for a missing value
 and Roman window labels; CSV carries floats at full precision via repr
 and leaves a missing value empty; JSON writes each cell as json.dumps
 does and accepts only None, bool, int, float and str cells.  Only the
-trend block of a track report is rendered apart from the rows.
+trend block of a track report is rendered apart from the table.
 
 Emission is deterministic: rows are ordered by entity, tenor and then
 period position or window index, and the JSON document is canonical
@@ -73,21 +73,21 @@ class TrendFit:
 
 @dataclass(frozen=True)
 class Report:
-    """One output table: `rows` of Python scalars, one per column, in `columns` order.
+    """One output table: `columns` maps each column name, in order, to its cells.
 
-    `trends` holds an (entity, tenor, TrendFit) triple per fitted metric
-    for a track report and is None for a period report.
+    Every column is a list of Python scalars of the same length, one
+    cell per row.  `trends` holds an (entity, tenor, TrendFit) triple
+    per fitted metric for a track report and is None for a period report.
     """
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    columns: dict[str, list]
     meta: Mapping
     trends: tuple[tuple[str, str, TrendFit], ...] | None = None
 
     def __post_init__(self) -> None:
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ValueError(f"row {i} holds {len(row)} cells, not {len(self.columns)}")
+        lengths = {name: len(values) for name, values in self.columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns of unequal length: {lengths}")
 
 
 def fit_trend(stats: ConformityStats, metric: str) -> TrendFit:
@@ -146,17 +146,21 @@ def build_period_report(
     measurements are missing and its error message is its verdict.  The
     measurable cells of a series are measured in one conformity call.
     """
-    rows = []
+    columns = {name: [] for name in PERIOD_COLUMNS}
     for s in _by_key(series):
         cells = [_period_cell(s, period) for period in periods]
         stats = conformity([h for h in cells if not isinstance(h, str)], alpha)
-        measured = zip(*(getattr(stats, name) for name in PERIOD_COLUMNS[3:]))
-        for period, cell in zip(periods, cells):
-            if isinstance(cell, str):
-                rows.append((s.entity, s.tenor, period.label, None, None, cell, None, None))
-            else:
-                rows.append((s.entity, s.tenor, period.label, *next(measured)))
-    return Report(PERIOD_COLUMNS, tuple(rows), dict(meta or {}))
+        columns["entity"] += [s.entity] * len(cells)
+        columns["tenor"] += [s.tenor] * len(cells)
+        columns["period"] += [period.label for period in periods]
+        for name in PERIOD_COLUMNS[3:]:
+            measured = iter(getattr(stats, name))
+            columns[name] += [
+                (cell if name == "verdict" else None) if isinstance(cell, str)
+                else next(measured)
+                for cell in cells
+            ]
+    return Report(columns, dict(meta or {}))
 
 
 def build_track_report(
@@ -171,19 +175,23 @@ def build_track_report(
     fits need at least two windows; a series yielding a single window
     contributes rows but no trends.
     """
-    rows = []
+    columns = {name: [] for name in TRACK_COLUMNS}
     trends = []
     for s in _by_key(series):
         stats = track(s, spec, alpha)
         bounds = [(r.start, r.stop - 1) for r in window_ranges(len(s.changes), spec)]
-        spans = np.datetime_as_string(s.dates[np.array(bounds)]).tolist()
-        measured = zip(*(getattr(stats, name) for name in TRACK_COLUMNS[5:]))
-        for index, ((start, end), cells) in enumerate(zip(spans, measured), 1):
-            rows.append((s.entity, s.tenor, index, start, end, *cells))
+        starts, ends = np.datetime_as_string(s.dates[np.array(bounds).T]).tolist()
+        columns["entity"] += [s.entity] * len(bounds)
+        columns["tenor"] += [s.tenor] * len(bounds)
+        columns["window"] += range(1, len(bounds) + 1)
+        columns["start_date"] += starts
+        columns["end_date"] += ends
+        for name in TRACK_COLUMNS[5:]:
+            columns[name] += getattr(stats, name)
         if len(stats) >= 2:
             for metric in TREND_METRICS:
                 trends.append((s.entity, s.tenor, fit_trend(stats, metric)))
-    return Report(TRACK_COLUMNS, tuple(rows), dict(meta or {}), tuple(trends))
+    return Report(columns, dict(meta or {}), tuple(trends))
 
 
 # cell formatting by value type; any other type renders with str
@@ -200,25 +208,18 @@ def _cells(values: Sequence, formats: Mapping, fallback=str) -> list[str]:
     return [formats.get(type(v), fallback)(v) for v in values]
 
 
-def _by_column(columns: Sequence[str], rows: Sequence[tuple]):
-    return zip(columns, list(zip(*rows)) or [()] * len(columns))
-
-
-def _render_text(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+def _render_text(columns: Mapping[str, list]) -> str:
     padded = []
-    for name, values in _by_column(columns, rows):
-        if name == "window":
-            cells = list(map(roman, values))
-        else:
-            cells = _cells(values, _TEXT_CELL)
+    for name, values in columns.items():
+        cells = _cells(values, {int: roman} if name == "window" else _TEXT_CELL)
         width = max([len(name), *map(len, cells)])
         padded.append([cell.ljust(width) for cell in (name, *cells)])
     lines = ["  ".join(cells).rstrip() for cells in zip(*padded)]
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
-    cells = [_cells(values, _CSV_CELL) for _, values in _by_column(columns, rows)]
+def _render_csv(columns: Mapping[str, list]) -> str:
+    cells = [_cells(values, _CSV_CELL) for values in columns.values()]
     lines = [",".join(columns), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
@@ -253,31 +254,20 @@ def _nested_json(value) -> str:
     return canonical_json(value)[:-1].replace("\n", "\n  ")
 
 
-def _render_json(
-    columns: Sequence[str], rows: Sequence[tuple], meta: Mapping, trends
-) -> str:
+def _render_json(columns: Mapping[str, list], meta: Mapping, trends) -> str:
     """canonical_json of {"meta", "rows", "trends"} with rows as key -> cell.
 
     Cells are formatted column by column and each row fills one template
     whose keys are sorted once, so the rows never become dicts; `meta`
     and `trends` go through canonical_json.
     """
-    position = {name: i for i, name in enumerate(columns)}  # last one wins
-    keys = sorted(position)
-    order = [position[k] for k in keys]
-    fields = ",\n".join(
-        f"      {json.encoder.encode_basestring_ascii(k).replace('%', '%%')}: %s"
-        for k in keys
-    )
-    template = "    {\n" + fields + "\n    }" if keys else "    {}"
+    keys = sorted(columns)
+    names = [json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in keys]
+    template = "    {\n" + ",\n".join(f"      {k}: %s" for k in names) + "\n    }"
+    rows = list(zip(*(_cells(columns[k], _JSON_CELL, _not_json) for k in keys)))
     parts = ['{\n  "meta": ', _nested_json(dict(meta)), ',\n  "rows": ']
-    if rows:
-        values = list(zip(*rows))
-        cells = [_cells(values[i], _JSON_CELL, _not_json) for i in order]
-        rendered = [template % row for row in list(zip(*cells)) or [()] * len(rows)]
-        parts += ["[\n", ",\n".join(rendered), "\n  ]"]
-    else:
-        parts.append("[]")
+    body = ",\n".join(template % row for row in rows)
+    parts += ["[\n", body, "\n  ]"] if rows else ["[]"]
     if trends is not None:
         nested = {}
         for entity, tenor, fit in trends:
@@ -292,15 +282,12 @@ def _render_json(
 
 
 def _trend_lines(trends) -> str:
-    if not trends:
-        return ""
-    lines = ["", "trends:"]
-    lines.extend(
+    lines = [
         f"{entity}  {tenor}  {fit.metric}  slope={fit.slope:.4f}  "
         f"intercept={fit.intercept:.4f}  r_squared={fit.r_squared:.4f}"
-        for entity, tenor, fit in trends
-    )
-    return "\n".join(lines) + "\n"
+        for entity, tenor, fit in trends or ()
+    ]
+    return "\ntrends:\n" + "\n".join(lines) + "\n" if lines else ""
 
 
 def emit(report: Report, fmt: str = "text") -> str:
@@ -308,9 +295,9 @@ def emit(report: Report, fmt: str = "text") -> str:
     if not isinstance(report, Report):
         raise TypeError("report must be a Report")
     if fmt == "text":
-        return _render_text(report.columns, report.rows) + _trend_lines(report.trends)
+        return _render_text(report.columns) + _trend_lines(report.trends)
     if fmt == "csv":
-        return _render_csv(report.columns, report.rows)
+        return _render_csv(report.columns)
     if fmt == "json":
-        return _render_json(report.columns, report.rows, report.meta, report.trends)
+        return _render_json(report.columns, report.meta, report.trends)
     raise ValueError('format must be one of "text", "csv", "json"')

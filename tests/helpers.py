@@ -138,6 +138,11 @@ def make_change_series(values, start=date(2008, 8, 8), entity="X", tenor="5Y"):
     return ChangeSeries(entity, tenor, dates[1:], np.asarray(values, dtype=np.float64))
 
 
+def report_rows(report) -> tuple[tuple, ...]:
+    """A report's rows: one tuple of cells per row, in column order."""
+    return tuple(zip(*report.columns.values()))
+
+
 def json_document(report) -> str:
     """A report's JSON through a dict document and json.dumps.
 
@@ -147,7 +152,7 @@ def json_document(report) -> str:
     """
     doc = {
         "meta": dict(report.meta),
-        "rows": [dict(zip(report.columns, row)) for row in report.rows],
+        "rows": [dict(zip(report.columns, row)) for row in report_rows(report)],
     }
     if report.trends is not None:
         doc["trends"] = {}

@@ -5,11 +5,9 @@ PASS/FAIL line per criterion alongside the pytest verdicts.  Each test
 pins the tolerance the criterion ships with and its runtime budget.
 """
 
-import math
 import subprocess
 import sys
 import time
-from datetime import date
 
 import numpy as np
 

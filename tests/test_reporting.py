@@ -36,7 +36,7 @@ from benfordtrack.reporting import (
     canonical_json,
     roman,
 )
-from helpers import json_document, make_change_series
+from helpers import json_document, make_change_series, report_rows
 
 
 # ---------------------------------------------------------------- roman
@@ -155,7 +155,7 @@ def _panel():
 
 
 def _cells_of(report):
-    return [dict(zip(report.columns, row)) for row in report.rows]
+    return [dict(zip(report.columns, row)) for row in report_rows(report)]
 
 
 def test_build_period_report_row_grid():
@@ -196,7 +196,7 @@ def test_build_period_report_measures_each_series_in_one_call(monkeypatch):
     report = build_period_report(_panel() + [late], named_periods())
     # GR's 200 weekdays of 2011 miss pre_crisis and post_crisis
     assert calls == [5, 5, 5, 5, 3]
-    assert len(report.rows) == 25
+    assert len(report_rows(report)) == 25
 
 
 def test_build_period_report_aligns_measures_around_failed_cells():
@@ -214,7 +214,7 @@ def test_build_period_report_aligns_measures_around_failed_cells():
                for y in (2010, 2011, 2012, 2013)]
     periods.append(PeriodSpec("all", date(2010, 1, 1), date(2013, 12, 31)))
     panel = [series("AT", 1), series("DE", 7)]
-    rows = iter(build_period_report(panel, periods, alpha=0.1).rows)
+    rows = iter(report_rows(build_period_report(panel, periods, alpha=0.1)))
     failed = {"y2011": "empty sample", "y2012": "empty slice for period 'y2012'"}
     for s in panel:
         for period in periods:
@@ -234,7 +234,7 @@ def test_build_period_report_aligns_measures_around_failed_cells():
 def test_build_period_report_annotates_a_non_finite_change():
     # a relative change overflows to inf when a spread jumps from 1e-300 to 1e300
     s = make_change_series([1.0, math.inf, 2.0], start=date(2010, 1, 4))
-    (row,) = build_period_report([s], named_periods()[:1]).rows
+    (row,) = report_rows(build_period_report([s], named_periods()[:1]))
     assert row == ("X", "5Y", "full", None, None, "non-finite value", None, None)
 
 
@@ -252,7 +252,7 @@ def test_build_track_report_counts_rows_and_trends():
     ]
     report = build_track_report(panel, WindowSpec())
     # 400 observations make seven full windows plus one 85-long tail
-    assert len(report.rows) == 16
+    assert len(report_rows(report)) == 16
     assert len(report.trends) == 6
     metrics = {fit.metric for _, _, fit in report.trends}
     assert metrics == set(TREND_METRICS)
@@ -261,13 +261,13 @@ def test_build_track_report_counts_rows_and_trends():
 def test_build_track_report_single_window_has_no_trends():
     panel = [make_change_series(list(generate(SynthSpec("benford", 50, 1))))]
     report = build_track_report(panel, WindowSpec())
-    assert len(report.rows) == 1
+    assert len(report_rows(report)) == 1
     assert report.trends == ()
 
 
 # ----------------------------------------------------------- row schema
 
-def test_rows_hold_python_scalars_in_column_order():
+def test_columns_hold_python_scalars_in_column_order():
     covered = make_change_series(list(generate(SynthSpec("benford", 400, 5))), entity="AT")
     late = make_change_series(
         list(generate(SynthSpec("benford", 200, 1))), start=date(2011, 3, 1), entity="GR"
@@ -275,27 +275,27 @@ def test_rows_hold_python_scalars_in_column_order():
     single = make_change_series(list(generate(SynthSpec("benford", 50, 2))), entity="PT")
     period = build_period_report([covered, late], named_periods())
     windows = build_track_report([covered, single], WindowSpec())
-    assert (period.columns, period.trends) == (PERIOD_COLUMNS, None)
-    assert windows.columns == TRACK_COLUMNS
+    assert (tuple(period.columns), period.trends) == (PERIOD_COLUMNS, None)
+    assert tuple(windows.columns) == TRACK_COLUMNS
     cells = {(r["entity"], r["period"]): r for r in _cells_of(period)}
     assert cells["GR", "pre_crisis"]["verdict"].startswith("empty slice")
-    assert [r[0] for r in windows.rows].count("PT") == 1
-    for report in (period, windows):
-        for row in report.rows:
-            assert type(row) is tuple and len(row) == len(report.columns)
-            for cell in row:
+    assert windows.columns["entity"].count("PT") == 1
+    for report, rows in ((period, 10), (windows, 9)):
+        for name, values in report.columns.items():
+            assert type(values) is list and len(values) == rows, name
+            for cell in values:
                 # exact types: a numpy scalar would render as another type
-                assert type(cell) in (type(None), bool, int, float, str), (row, cell)
+                assert type(cell) in (type(None), bool, int, float, str), (name, cell)
 
 
 def test_rows_copy_each_measurement_into_its_column():
     s = make_change_series(list(generate(SynthSpec("benford", 400, 6))), entity="AT")
     full = named_periods()[0]
-    (row,) = build_period_report([s], [full], alpha=0.1).rows
+    (row,) = report_rows(build_period_report([s], [full], alpha=0.1))
     c = conformity([digit_histogram(s.slice(full.start, full.end).changes)], 0.1)
     assert row == ("AT", "5Y", "full", c.chi2[0], c.p_value[0], c.verdict[0],
                    c.n[0], c.small_sample[0])
-    rows = build_track_report([s], WindowSpec(), alpha=0.1).rows
+    rows = report_rows(build_track_report([s], WindowSpec(), alpha=0.1))
     w = track(s, WindowSpec(), 0.1)
     ranges = window_ranges(len(s.changes), WindowSpec())
     assert rows == tuple(
@@ -309,11 +309,17 @@ def test_rows_copy_each_measurement_into_its_column():
 
 # ----------------------------------------------------------- text table
 
+def _table(columns, rows, meta, trends=None):
+    """A Report holding `rows`, given as tuples in `columns` order."""
+    cells = {name: [row[i] for row in rows] for i, name in enumerate(columns)}
+    return Report(cells, meta, trends)
+
+
 def _tiny_period_report():
     row = ("DE", "5Y", "full", 12.3456789, 0.5, "accept", 100, True)
     bad = ("DE", "5Y", "pre_crisis", None, None, "empty slice for period 'pre_crisis'",
            None, None)
-    return Report(PERIOD_COLUMNS, (row, bad), {"alpha": 0.05})
+    return _table(PERIOD_COLUMNS, (row, bad), {"alpha": 0.05})
 
 
 def test_period_text_layout():
@@ -431,7 +437,7 @@ def _awkward_report(rows, trends=()):
         (label, "5Y", TrendFit(metric, 0.1 + 0.2, -0.0, 5e-324))
         for label in _AWKWARD_LABELS for metric in TREND_METRICS
     ) if trends is not None else None
-    return Report(columns, tuple(rows), {"alpha": 0.05, "note": "m\u00e9ta"}, fits)
+    return _table(columns, rows, {"alpha": 0.05, "note": "m\u00e9ta"}, fits)
 
 
 @pytest.mark.parametrize("build", ["period", "track"])
@@ -460,7 +466,7 @@ def test_json_cells_equal_the_dict_document(trends):
     assert emit(report, "json") == json_document(report)
     empty = _awkward_report([], trends)
     assert emit(empty, "json") == json_document(empty)
-    for odd in (Report((), ((), ()), {}), Report(("b", "a", "b"), ((1, 2, 3),), {})):
+    for odd in (Report({}, {}), Report({"b": [1, None], "a": ["x", "y"]}, {})):
         assert emit(odd, "json") == json_document(odd)
 
 
@@ -477,10 +483,9 @@ def test_json_refuses_a_numpy_cell():
 
 # ------------------------------------------------------------ emit guard
 
-@pytest.mark.parametrize("rows,bad", [((("x",), ("y", 2)), 0), ((("x", 1), ("y", 2, 3)), 1)])
-def test_report_rejects_a_row_of_another_length(rows, bad):
-    with pytest.raises(ValueError, match=f"^row {bad} holds {len(rows[bad])} cells, not 2$"):
-        Report(("a", "b"), rows, {})
+def test_report_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match=r"^columns of unequal length: \{'a': 2, 'b': 1\}$"):
+        Report({"a": ["x", "y"], "b": [1]}, {})
 
 
 def test_emit_rejects_unknown_format_and_type():

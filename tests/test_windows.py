@@ -23,7 +23,7 @@ from benfordtrack import (
     track,
     window_ranges,
 )
-from helpers import enumerate_windows, make_change_series
+from helpers import enumerate_windows, make_change_series, report_rows
 
 
 # --------------------------------------------------------- named periods
@@ -194,7 +194,7 @@ def test_period_rows_slice_by_date():
     dates = series.dates.tolist()
     mid = dates[150]
     period = PeriodSpec("head", dates[0], mid)
-    (row,) = build_period_report([series], [period]).rows
+    (row,) = report_rows(build_period_report([series], [period]))
     head = [v for d, v in zip(dates, series.changes) if d <= mid]
     manual = conformity([digit_histogram(head)])
     assert row[3:] == _measures(manual)
@@ -204,7 +204,7 @@ def test_period_rows_slice_by_date():
 def test_period_row_of_an_empty_slice_is_annotated():
     series = make_change_series([1.0, 2.0, 3.0])
     period = PeriodSpec("void", date(1999, 1, 1), date(1999, 2, 1))
-    (row,) = build_period_report([series], [period]).rows
+    (row,) = report_rows(build_period_report([series], [period]))
     assert row == ("X", "5Y", "void", None, None, "empty slice for period 'void'",
                    None, None)
 
@@ -220,7 +220,7 @@ def test_sub_periods_concatenate_to_post2010():
         joined = np.concatenate([getattr(crisis, column), getattr(post, column)])
         assert np.array_equal(joined, getattr(both, column))
     merged = conformity([digit_histogram(list(crisis.changes) + list(post.changes))])
-    (row,) = build_period_report([series], [periods["post2010"]]).rows
+    (row,) = report_rows(build_period_report([series], [periods["post2010"]]))
     assert row[3:] == _measures(merged)
 
 
@@ -231,7 +231,7 @@ def test_track_reference_panel_geometry():
     results = track(series, WindowSpec())
     ranges = window_ranges(len(series.changes), WindowSpec())
     assert len(results) == len(ranges) == 38
-    rows = build_track_report([series], WindowSpec()).rows
+    rows = report_rows(build_track_report([series], WindowSpec()))
     assert [row[2] for row in rows] == list(range(1, 39))
     assert [len(r) for r in ranges] == [90] * 37 + [85]
     starts = [series.dates[r.start].item() for r in ranges]
@@ -247,7 +247,7 @@ def test_track_windows_match_direct_conformity():
     spec = WindowSpec(length=100, step=50, min_fill=0.5)
     results = track(series, spec)
     ranges = window_ranges(len(values), spec)
-    rows = build_track_report([series], spec).rows
+    rows = report_rows(build_track_report([series], spec))
     assert len(results) == len(ranges) == len(rows)
     for i, (r, row) in enumerate(zip(ranges, rows)):
         chunk = values[r.start : r.stop]
@@ -266,7 +266,7 @@ def test_track_window_dates_come_from_the_data():
     assert len(results) == 2
     assert len(ranges[0]) == 90
     assert len(ranges[1]) == 45
-    rows = build_track_report([series], WindowSpec()).rows
+    rows = report_rows(build_track_report([series], WindowSpec()))
     assert rows[1][3] == series.dates[45].item().isoformat()
 
 
