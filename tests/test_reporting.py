@@ -488,6 +488,16 @@ def test_report_rejects_columns_of_unequal_length():
         Report({"a": ["x", "y"], "b": [1]}, {})
 
 
+@pytest.mark.parametrize("columns", [
+    {},
+    {"a": []},
+    {"a": [], "b": []},
+    {"a": ["x"], "b": [1], "c": [None]},
+], ids=["no-columns", "one-empty-column", "two-empty-columns", "three-one-cell-columns"])
+def test_report_accepts_columns_of_equal_length(columns):
+    assert Report(columns, {}).columns is columns
+
+
 def test_emit_rejects_unknown_format_and_type():
     report = _tiny_period_report()
     with pytest.raises(ValueError, match="format"):
