@@ -265,9 +265,7 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     """
     if "\r" in text and text.count("\r") == text.count("\r\n"):
         text = text.replace("\r\n", "\n")  # every "\r" ends a CRLF line
-    if not text.startswith(PANEL_HEADER + "\n"):
-        return None
-    if any(mark in text for mark in _OTHER_BREAKS):
+    if not text.startswith(PANEL_HEADER + "\n") or any(mark in text for mark in _OTHER_BREAKS):
         return None
     entity_ids, tenor_ids = _Ids(), _Ids()
     start, stop = len(PANEL_HEADER) + 1, len(text) - text.endswith("\n")
@@ -284,9 +282,7 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     parse = _parse_halves if len(spans) > 1 and _two_cpus() else _parse_spans
     if not parse(text, spans, [entity_col, tenor_col, days, spreads], entity_ids, tenor_ids):
         return None
-    if "" in entity_ids or "" in tenor_ids:
-        return None
-    if not ((spreads > 0.0) & (spreads < np.inf)).all():
+    if "" in entity_ids or "" in tenor_ids or not ((spreads > 0.0) & (spreads < np.inf)).all():
         return None
     entity_names, entity_rank = _sorted_ids(entity_ids)
     tenor_names, tenor_rank = _sorted_ids(tenor_ids)
@@ -454,16 +450,19 @@ def _sorted_ids(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
 
 
 def serialize_panel(series: Iterable[SpreadSeries]) -> str:
-    """Render series back to panel CSV, inverse of parse_panel.
-
-    Spreads are written with repr so parsing the output reproduces the
-    exact same float values.
-    """
-    lines = [PANEL_HEADER]
-    for s in sorted(series, key=lambda s: (s.entity, s.tenor)):
-        labels = f",{s.entity},{s.tenor},"
-        days = np.datetime_as_string(s.dates).tolist()
-        lines += [f"{day}{labels}{spread!r}" for day, spread in zip(days, s.spreads.tolist())]
+    """Render series back to panel CSV, inverse of parse_panel: rows by
+    (entity, tenor), then by date, spreads by repr (so parsing returns the
+    same floats), and each distinct date rendered once."""
+    ordered = sorted(series, key=lambda s: (s.entity, s.tenor))
+    days = np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in ordered)])
+    days, where = np.unique(days.view(np.int64), return_inverse=True)  # int64 sorts faster
+    day_texts = np.datetime_as_string(days.view("datetime64[D]")).tolist()
+    texts = np.array(day_texts, object)[where].tolist()  # one shared str per distinct date
+    lines, stop = [PANEL_HEADER], 0
+    for s in ordered:
+        start, stop = stop, stop + len(s.dates)
+        spreads = map(repr, s.spreads.tolist())
+        lines += map(f",{s.entity},{s.tenor},".join, zip(texts[start:stop], spreads))
     return "\n".join(lines) + "\n"
 
 

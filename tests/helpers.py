@@ -3,8 +3,9 @@
 Everything here re-derives expected behavior through a different route
 than the library takes: decimal-string digit scanning, plain-Python
 formula evaluation, conformity one histogram at a time, adaptive
-quadrature, 60-digit decimals, step-by-step window enumeration, and
-JSON through a dict document and json.dumps.
+quadrature, 60-digit decimals, step-by-step window enumeration, panel
+CSV one f-string row at a time, and JSON through a dict document and
+json.dumps.
 """
 
 import json
@@ -23,6 +24,7 @@ from benfordtrack import (
     benford_pmf,
     chi_square_pvalue,
 )
+from benfordtrack.panel import PANEL_HEADER
 from benfordtrack.synthetic import SynthSpec, synth_panel
 
 
@@ -136,6 +138,16 @@ def make_change_series(values, start=date(2008, 8, 8), entity="X", tenor="5Y"):
     """A ChangeSeries over consecutive weekdays carrying `values`."""
     dates = synth_panel(SynthSpec("constant", len(values), 0), start=start).dates
     return ChangeSeries(entity, tenor, dates[1:], np.asarray(values, dtype=np.float64))
+
+
+def reference_serialize(series) -> str:
+    """Panel CSV one f-string row at a time, each series rendering its own dates."""
+    lines = [PANEL_HEADER]
+    for s in sorted(series, key=lambda s: (s.entity, s.tenor)):
+        labels = f",{s.entity},{s.tenor},"
+        days = np.datetime_as_string(s.dates).tolist()
+        lines += [f"{day}{labels}{spread!r}" for day, spread in zip(days, s.spreads.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def report_rows(report) -> tuple[tuple, ...]:

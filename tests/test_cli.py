@@ -599,6 +599,24 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of `synth` output, recorded from the writer that formatted one
+# f-string per row; the writer has to reproduce every byte.
+SYNTH_SHA256 = {
+    ("--kind", "benford", "--n", "1500", "--seed", "42"):
+        "9f39f1925a979931e2522d333b689a347089c7a505e90ad0cbd563211a73ca7d",
+    ("--kind", "uniform_digit", "--n", "800", "--seed", "3",
+     "--manip-fraction", "0.3", "--manip-digit", "1"):
+        "78a24d1a9c81ba423319b55bd308ef122acc910ca9d322eb35df8210ed8a93fb",
+}
+
+
+@pytest.mark.parametrize("argv", list(SYNTH_SHA256), ids=lambda a: a[1])
+def test_synth_matches_recorded_bytes(argv, tmp_path):
+    out = tmp_path / "panel.csv"
+    assert main(["synth", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYNTH_SHA256[argv]
+
+
 def _golden_panel():
     """A seeded Benford series with two exact zero changes and one quote
     gap past the 4-day cap, plus a constant series whose windows carry a

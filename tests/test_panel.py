@@ -11,7 +11,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benfordtrack import (
@@ -26,6 +26,7 @@ from benfordtrack import (
 )
 from benfordtrack import panel
 from benfordtrack.panel import iso_date
+from helpers import reference_serialize
 
 GOOD = """date,entity,tenor,spread_bps
 
@@ -110,6 +111,48 @@ def test_serialize_preserves_exact_floats():
     series = parse_panel(text)
     again = parse_panel(serialize_panel(series))
     assert again[0].spreads[0] == series[0].spreads[0] == 40.123456789012345
+
+
+def test_serialize_writes_the_header_alone_without_rows():
+    empty = SpreadSeries("X", "5Y", ())
+    for series in ([], [empty], [empty, SpreadSeries("A", "1Y", ())], iter([empty])):
+        assert serialize_panel(series) == "date,entity,tenor,spread_bps\n"
+
+
+_SPREAD = st.one_of(
+    st.sampled_from([5e-324, 1.7976931348623157e308, 100.0, 1.0, 40.5]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+# first days that give ranges reaching year 1, year 9999 and the paper's sample
+_FIRST = st.one_of(
+    st.sampled_from([date.min, date(2008, 8, 8), date(2008, 8, 20), date.max - timedelta(60)]),
+    st.dates(max_value=date.max - timedelta(60)),
+)
+_OFFSETS = st.frozensets(st.integers(0, 60), max_size=25)
+
+
+@st.composite
+def _unsorted_panels(draw):
+    """0-6 series in drawn order, some empty, their dates identical,
+    overlapping or disjoint: each may reuse one shared set of day offsets."""
+    shared = draw(_OFFSETS)
+    series = []
+    for k in range(draw(st.integers(0, 6))):
+        first = draw(_FIRST)
+        offsets = shared if draw(st.booleans()) else draw(_OFFSETS)
+        days = [first + timedelta(o) for o in sorted(offsets)]
+        spreads = draw(st.lists(_SPREAD, min_size=len(days), max_size=len(days)))
+        series.append(SpreadSeries(f"E{k % 3}", f"T{k}", zip(days, spreads)))
+    return draw(st.permutations(series))
+
+
+@settings(max_examples=300)
+@given(series=_unsorted_panels())
+def test_serialize_matches_the_row_at_a_time_writer(series):
+    text = serialize_panel(s for s in series)
+    assert text == reference_serialize(series)
+    filled = sorted((s for s in series if len(s.dates)), key=lambda s: (s.entity, s.tenor))
+    assert _rows(parse_panel(text)) == _rows(filled)
 
 
 # ----------------------------------------------------- series validation
