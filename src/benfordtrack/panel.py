@@ -188,9 +188,12 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
     first offending line.  Text longer than one chunk is read by two
     processes where `os.fork` exists and two CPUs are allowed, with the
     same results and errors: a forked child parses the second half,
-    sends it back through a pipe and leaves by `os._exit`.  Python 3.12
-    and later may warn (DeprecationWarning, hidden by default) about
-    forking while numpy's BLAS helper thread runs.
+    sends it back through a pipe and leaves by `os._exit`.  The CLI
+    forks from one thread, as its entry point defaults
+    `OPENBLAS_NUM_THREADS` to 1 (an explicit value wins); a caller that
+    loads numpy itself may fork beside a BLAS worker thread, which
+    Python 3.12 and later may warn about (DeprecationWarning, hidden by
+    default).
     """
     text = source if isinstance(source, str) else source.read()
     series = _parse_columns(text)

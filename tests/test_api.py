@@ -1,10 +1,18 @@
 """The public surface: the exported names and the README library example."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import benfordtrack
+import benfordtrack.cli
+from helpers import cli_env
 
 EXPORTED = {
     "DigitHistogram", "benford_pmf", "digit_histogram", "first_significant_digit",
@@ -27,6 +35,7 @@ MODULE_ONLY = {
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_exported_names_are_pinned():
@@ -40,6 +49,78 @@ def test_helpers_are_imported_from_their_modules():
     for name, module in MODULE_ONLY.items():
         assert not hasattr(benfordtrack, name)
         assert callable(getattr(importlib.import_module(f"benfordtrack.{module}"), name))
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'benfordtrack' has no attribute 'nope'$"):
+        benfordtrack.nope
+    with pytest.raises(ImportError):
+        from benfordtrack import nope  # noqa: F401
+
+
+def _python(code: str, **env: str) -> str:
+    """Run `python -c CODE` in a fresh process and return its stdout."""
+    environ = {k: v for k, v in cli_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run([sys.executable, "-c", code], env={**environ, **env},
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_import_loads_numpy_only_when_a_name_is_used():
+    out = _python(
+        "import sys, benfordtrack as b\n"
+        "print('numpy' in sys.modules, set(b.__all__) <= set(dir(b)))\n"
+        "print(all(getattr(b, n) is not None for n in b.__all__), 'numpy' in sys.modules)"
+    )
+    assert out.split() == ["False", "True", "True", "True"]
+
+
+def _threads_after_importing_main(**env: str) -> int:
+    code = "import os, benfordtrack.__main__; print(len(os.listdir('/proc/self/task')))"
+    return int(_python(code, **env))
+
+
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no `mode`
+        return ""
+
+
+needs_proc_tasks = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+
+
+@needs_proc_tasks
+def test_cli_entry_point_runs_one_thread():
+    assert _threads_after_importing_main() == 1
+
+
+@needs_proc_tasks
+@pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy is not on OpenBLAS")
+def test_explicit_openblas_thread_count_wins():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+    assert _threads_after_importing_main(OPENBLAS_NUM_THREADS="2") == 2
+
+
+def _pyproject_section(name: str) -> str:
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    text = PYPROJECT.read_text(encoding="utf-8")
+    return re.search(rf"^\[{re.escape(name)}\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)[1]
+
+
+def test_console_script_is_cli_main(monkeypatch):
+    module, attr = re.search(r'^benfordtrack = "([\w.]+):(\w+)"$',
+                             _pyproject_section("project.scripts"), re.M).groups()
+    # importing the entry module may set OPENBLAS_NUM_THREADS; restore ours after
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    assert getattr(importlib.import_module(module), attr) is benfordtrack.cli.main
+
+
+def test_version_is_the_project_version():
+    version = re.search(r'^version = "([^"]+)"$', _pyproject_section("project"), re.M)[1]
+    assert benfordtrack.__version__ == version
 
 
 def _library_section() -> str:
