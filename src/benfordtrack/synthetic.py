@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digits import mantissa_exponent
+from .digits import _POW10, mantissa_exponent
 from .panel import SpreadSeries
 
 KINDS = ("benford", "uniform_digit", "constant")
@@ -35,30 +35,33 @@ def inject_manipulation(
     """Force `target_digit` onto a seeded random subset of `values`.
 
     round(fraction * n) positions are drawn without replacement; each
-    selected value keeps its sign, decade exponent and fractional
-    mantissa while its integer mantissa digit is replaced, so at most
-    that many elements change and element order is preserved.
+    selected nonzero value keeps its sign, decade exponent and fractional
+    mantissa (from mantissa_exponent) while its integer mantissa digit is
+    replaced, so at most that many elements change and element order is
+    preserved.  Raises ValueError for a non-finite value, or where a
+    rewrite would overflow and so lose its exponent.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     if target_digit not in range(1, 10):
         raise ValueError("target digit must lie in 1..9")
     out = np.array(list(values), dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite value")
     count = int(round(fraction * len(out)))
     if count == 0:
         return out
     picked = _generator(seed).choice(len(out), size=count, replace=False)
-    for i in picked:
-        x = float(out[i])
-        if x == 0.0:
-            continue  # no mantissa to rewrite
-        m, e = mantissa_exponent(x)
-        shifted = target_digit + (m - math.floor(m))
-        scale = 10.0 ** e
-        if scale == 0.0:  # subnormal decade; rebuild from the rendered pair
-            out[i] = math.copysign(float(f"{shifted}e{e}"), x)
-        else:
-            out[i] = math.copysign(shifted * scale, x)
+    picked = picked[out[picked] != 0.0]  # zeros have no mantissa to rewrite
+    m, e = mantissa_exponent(out[picked])
+    shifted = target_digit + (m - np.floor(m))
+    with np.errstate(over="ignore"):
+        rewritten = np.copysign(shifted * _POW10[e], out[picked])
+    if np.isinf(rewritten).any():
+        raise ValueError("manipulated value overflows the float range")
+    for i in np.flatnonzero(np.isnan(rewritten)).tolist():  # NaN power: underflowed decade
+        rewritten[i] = math.copysign(float(f"{float(shifted[i])}e{e[i]}"), out[picked[i]])
+    out[picked] = rewritten
     return out
 
 

@@ -1,7 +1,8 @@
 """Shared independent oracles and fixtures for the test suite.
 
 Everything here re-derives expected behavior through a different route
-than the library takes: decimal-string digit scanning, plain-Python
+than the library takes: decimal-string digit scanning, the digit rule
+and the digit manipulation one Python float at a time, plain-Python
 formula evaluation, conformity one histogram at a time, adaptive
 quadrature, 60-digit decimals, step-by-step window enumeration, panel
 CSV one f-string row at a time, and JSON through a dict document and
@@ -27,6 +28,8 @@ from benfordtrack import (
 from benfordtrack.panel import PANEL_HEADER
 from benfordtrack.synthetic import SynthSpec, synth_panel
 
+EDGE_HIGH = 9.9999999999
+
 
 def string_first_digit(x: float):
     """First nonzero digit read off the exact decimal expansion of the float."""
@@ -48,6 +51,80 @@ def string_histogram(values):
         else:
             counts[d - 1] += 1
     return tuple(counts), excluded
+
+
+def scalar_mantissa_exponent(x: float) -> tuple[float, int]:
+    """The digit rule for one nonzero finite float, in plain Python.
+
+    |x| = m * 10**e with m the quotient |x| / 10.0**floor(log10|x|),
+    unless that quotient leaves [1, 9.9999999999) or the power of ten
+    underflows; then m and e are read off the 12-significant-digit
+    rendering.  The reference for the array `mantissa_exponent`.
+    """
+    if not math.isfinite(x) or x == 0.0:
+        raise ValueError("zero or non-finite value")
+    ax = abs(x)
+    e = math.floor(math.log10(ax))
+    scale = 10.0 ** e
+    m = ax / scale if scale > 0.0 else 0.0
+    if m < 1.0 or m >= EDGE_HIGH:
+        mantissa, _, exponent = f"{ax:.11e}".partition("e")
+        m = float(mantissa)
+        e = int(exponent)
+    return m, e
+
+
+def scalar_first_digit(x: float):
+    """Integer part of the scalar rule's mantissa, or None for zero."""
+    if x == 0.0:
+        return None
+    return int(scalar_mantissa_exponent(x)[0])
+
+
+def scalar_inject_manipulation(values, fraction, target_digit, seed):
+    """`inject_manipulation` one picked element at a time, in plain Python.
+
+    The same seeded PCG64 draw picks the positions; each nonzero pick
+    becomes copysign((digit + frac(m)) * 10.0**e, x), or is rebuilt from
+    the rendered pair where 10.0**e underflows.
+    """
+    out = np.array(list(values), dtype=float)
+    count = int(round(fraction * len(out)))
+    if count == 0:
+        return out
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for i in rng.choice(len(out), size=count, replace=False):
+        x = float(out[i])
+        if x == 0.0:
+            continue
+        m, e = scalar_mantissa_exponent(x)
+        shifted = target_digit + (m - math.floor(m))
+        scale = 10.0 ** e
+        if scale == 0.0:
+            out[i] = math.copysign(float(f"{shifted}e{e}"), x)
+        else:
+            out[i] = math.copysign(shifted * scale, x)
+    return out
+
+
+def scalar_rule_probes():
+    """Values that stress the digit rule, both signs, plus both zeros.
+
+    Every d * 10**e that is a finite double and its two neighbours, then
+    3,000 seeded random subnormals and the largest and smallest
+    subnormal.
+    """
+    values = []
+    for e in range(-323, 309):
+        for d in range(1, 10):
+            x = float(f"{d}e{e}")
+            if math.isfinite(x):
+                values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    bits = np.random.Generator(np.random.PCG64(11)).integers(1, 2**52, 3000)
+    values += bits.astype(np.uint64).view(np.float64).tolist()
+    values += [5e-324, 2.225073858507201e-308]
+    values += [-v for v in values]
+    return values + [0.0, -0.0]
 
 
 def direct_chi2(counts, total):

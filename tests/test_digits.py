@@ -16,7 +16,12 @@ from benfordtrack import (
     generate,
 )
 from benfordtrack.digits import mantissa_exponent
-from helpers import string_histogram
+from helpers import (
+    scalar_first_digit,
+    scalar_mantissa_exponent,
+    scalar_rule_probes,
+    string_histogram,
+)
 
 # three-decimal reference frequencies for digits 1..9
 TABLE = (0.301, 0.176, 0.125, 0.097, 0.079, 0.067, 0.058, 0.051, 0.046)
@@ -89,24 +94,46 @@ def test_non_finite_values_rejected(bad):
 
 
 def test_mantissa_exponent_round_trip():
-    for x in (127.17, -53.06, 0.046, 1.0, 999.9999999999, 5e-7, 3e22):
-        m, e = mantissa_exponent(x)
-        assert 1.0 <= m < 10.0
-        assert math.isclose(m * 10.0 ** e, abs(x), rel_tol=1e-11)
+    values = [127.17, -53.06, 0.046, 1.0, 999.9999999999, 5e-7, 3e22]
+    m, e = mantissa_exponent(values)
+    assert (m.dtype, e.dtype) == (np.float64, np.intp)
+    assert len(m) == len(e) == len(values)
+    for x, mi, ei in zip(values, m.tolist(), e.tolist()):
+        assert 1.0 <= mi < 10.0
+        assert math.isclose(mi * 10.0 ** ei, abs(x), rel_tol=1e-11)
 
 
-def test_mantissa_exponent_rejects_zero_and_non_finite():
-    with pytest.raises(ValueError):
-        mantissa_exponent(0.0)
-    with pytest.raises(ValueError):
-        mantissa_exponent(math.inf)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([0.0], "zero"),
+        ([2.5, -0.0, 7.0], "zero"),
+        ([math.inf], "non-finite"),
+        ([3.0, math.nan], "non-finite"),
+        ([-math.inf, 1e-300], "non-finite"),
+    ],
+)
+def test_mantissa_exponent_rejects_zero_and_non_finite(values, message):
+    with pytest.raises(ValueError, match=message):
+        mantissa_exponent(values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mantissa_exponent_equals_the_scalar_rule_on_every_probe():
+    probes = [v for v in scalar_rule_probes() if v != 0.0]
+    m, e = mantissa_exponent(probes)
+    want = [scalar_mantissa_exponent(v) for v in probes]
+    assert m.tolist() == [wm for wm, _ in want]
+    assert e.tolist() == [we for _, we in want]
 
 
 def test_subnormal_values_have_digits():
     # 10**floor(log10(x)) underflows to zero down here; the smallest
     # positive float prints as 5e-324 but its exact value leads with 4
     assert first_significant_digit(5e-324) == 4
-    assert mantissa_exponent(5e-324) == (4.94065645841, -324)
+    m, e = mantissa_exponent([5e-324])
+    assert (m.tolist(), e.tolist()) == ([4.94065645841], [-324])
     assert first_significant_digit(-1.5e-323) == 1
     assert digit_histogram([5e-324]).counts == (0, 0, 0, 1, 0, 0, 0, 0, 0)
 
@@ -162,8 +189,8 @@ def test_histogram_matches_string_oracle_on_generated_sample():
 def _clear_of_decade_edges(x):
     if x == 0.0:
         return True
-    m, _ = mantissa_exponent(x)
-    return 1.0 + 1e-8 < m < 10.0 - 1e-8
+    m, _ = mantissa_exponent([x])
+    return 1.0 + 1e-8 < m[0] < 10.0 - 1e-8
 
 
 @given(
@@ -194,29 +221,13 @@ def test_histogram_totals_add_up(values):
     assert h.total == sum(h.counts)
 
 
-def _scalar_rule_probes():
-    values = []
-    for e in range(-323, 309):
-        for d in range(1, 10):
-            x = float(f"{d}e{e}")
-            if math.isfinite(x):
-                values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
-    # subnormals: random bit patterns below the smallest normal, and the
-    # largest and smallest subnormal themselves
-    bits = np.random.Generator(np.random.PCG64(11)).integers(1, 2**52, 3000)
-    values += bits.astype(np.uint64).view(np.float64).tolist()
-    values += [5e-324, 2.225073858507201e-308]
-    values += [-v for v in values]
-    return values + [0.0, -0.0]
-
-
 @pytest.mark.filterwarnings("error")
 def test_histogram_equals_the_scalar_digit_of_every_value():
-    # grouping by the scalar digit makes any single disagreement show
-    # up as a count outside the group's own bin
+    # grouping by the scalar reference's digit makes any single
+    # disagreement show up as a count outside the group's own bin
     groups = {}
-    for v in _scalar_rule_probes():
-        groups.setdefault(first_significant_digit(v), []).append(v)
+    for v in scalar_rule_probes():
+        groups.setdefault(scalar_first_digit(v), []).append(v)
     assert set(groups) == {None, *range(1, 10)}
     for digit, group in groups.items():
         for values in (group, np.array(group)):

@@ -22,7 +22,7 @@ from benfordtrack import (
 )
 from benfordtrack.digits import mantissa_exponent
 from benfordtrack.synthetic import inject_manipulation
-from helpers import string_first_digit
+from helpers import scalar_inject_manipulation, scalar_rule_probes, string_first_digit
 
 
 # ----------------------------------------------------------- generators
@@ -87,12 +87,11 @@ def test_inject_changes_exactly_the_rounded_count():
 def test_inject_preserves_exponent_and_fraction():
     values = [3.75, 0.0625, 912.0]
     out = inject_manipulation(values, 1.0, 7, seed=1)
-    for before, after in zip(values, out):
-        mb, eb = mantissa_exponent(before)
-        ma, ea = mantissa_exponent(after)
-        assert ea == eb
-        assert int(ma) == 7
-        assert ma - math.floor(ma) == pytest.approx(mb - math.floor(mb), abs=1e-12)
+    mb, eb = mantissa_exponent(values)
+    ma, ea = mantissa_exponent(out)
+    assert ea.tolist() == eb.tolist()
+    assert np.floor(ma).tolist() == [7.0] * len(values)
+    assert ma - np.floor(ma) == pytest.approx(mb - np.floor(mb), abs=1e-12)
 
 
 def test_inject_preserves_sign_and_skips_zero():
@@ -108,6 +107,35 @@ def test_inject_survives_subnormal_values():
     out = inject_manipulation([5e-324, -5e-324], 1.0, 7, seed=0)
     assert float(out[0]) > 0.0
     assert float(out[1]) < 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("digit", [1, 5, 9])
+@pytest.mark.parametrize("fraction", [0.3, 1.0])
+def test_inject_equals_the_scalar_rewrite_bit_for_bit(digit, fraction):
+    # values whose 12-digit rendering reaches 1e308 overflow when given
+    # a digit of 2 or more; test_inject_rejects_an_overflowing_rewrite
+    # covers them
+    probes = [v for v in scalar_rule_probes() if abs(v) < 9.9e307]
+    want = scalar_inject_manipulation(probes, fraction, digit, seed=digit)
+    got = inject_manipulation(probes, fraction, digit, seed=digit)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inject_rejects_non_finite_values_whatever_the_picks(seed):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            inject_manipulation([bad, 1.5], 0.5, 9, seed=seed)
+
+
+@pytest.mark.filterwarnings("error")
+def test_inject_rejects_an_overflowing_rewrite():
+    with pytest.raises(ValueError, match="overflow"):
+        inject_manipulation([1.7e308, -1.7e308], 1.0, 9, seed=0)
+    # under digit 1 the same values keep their exponent
+    out = inject_manipulation([1.7e308, -1.7e308], 1.0, 1, seed=0)
+    assert out.tolist() == [1.7e308, -1.7e308]
 
 
 def test_inject_is_seed_deterministic():
