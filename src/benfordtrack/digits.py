@@ -33,8 +33,10 @@ def benford_pmf() -> np.ndarray:
     Returns a fresh length-9 array; entries are strictly decreasing and
     sum to 1 up to rounding.
     """
-    d = np.arange(1, 10, dtype=float)
-    return np.log10(1.0 + 1.0 / d)
+    # each log10(1 + 1/d) correctly rounded; np.log10's last bit varies by CPU kernel
+    return np.array([0.3010299956639812, 0.17609125905568124, 0.12493873660829993,
+                     0.09691001300805642, 0.07918124604762482, 0.06694678963061322,
+                     0.05799194697768673, 0.05115252244738129, 0.04575749056067514])
 
 
 def mantissa_exponent(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:

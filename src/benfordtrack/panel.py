@@ -11,6 +11,7 @@ strict; every rejection names the offending 1-based line.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import re
 from dataclasses import dataclass
@@ -187,13 +188,13 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
     text goes to the line-by-line reference parser, which reports the
     first offending line.  Text longer than one chunk is read by two
     processes where `os.fork` exists and two CPUs are allowed, with the
-    same results and errors: a forked child parses the second half,
-    sends it back through a pipe and leaves by `os._exit`.  The CLI
-    forks from one thread, as its entry point defaults
-    `OPENBLAS_NUM_THREADS` to 1 (an explicit value wins); a caller that
-    loads numpy itself may fork beside a BLAS worker thread, which
-    Python 3.12 and later may warn about (DeprecationWarning, hidden by
-    default).
+    same results and errors: a forked child parses the second half into
+    columns it shares with this process, sends only its labels back
+    through a pipe and leaves by `os._exit`.  The CLI forks from one
+    thread, as its entry point defaults `OPENBLAS_NUM_THREADS` to 1 (an
+    explicit value wins); a caller that loads numpy itself may fork
+    beside a BLAS worker thread, which Python 3.12 and later may warn
+    about (DeprecationWarning, hidden by default).
     """
     text = source if isinstance(source, str) else source.read()
     series = _parse_columns(text)
@@ -280,8 +281,11 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
         spans.append((start, end, text.count("\n", start, end) + 1))
         start = end + 1
     rows = sum(n for _, _, n in spans)
-    entity_col, tenor_col, days = (np.empty(rows, np.int64) for _ in range(3))
-    spreads = np.empty(rows, np.float64)
+    # one anonymous shared mapping per column, so a forked child fills its rows in place
+    entity_col, tenor_col, days, spreads = (
+        np.frombuffer(mmap.mmap(-1, 8 * rows or 1), dtype, rows)
+        for dtype in (np.int64, np.int64, np.int64, np.float64)
+    )
     parse = _parse_halves if len(spans) > 1 and _two_cpus() else _parse_spans
     if not parse(text, spans, [entity_col, tenor_col, days, spreads], entity_ids, tenor_ids):
         return None
@@ -325,14 +329,13 @@ def _two_cpus() -> bool:
 
 
 def _parse_spans(
-    text: str, spans: list, columns: list[np.ndarray], entity_ids: _Ids, tenor_ids: _Ids,
-    row: int = 0,
+    text: str, spans: list, columns: list[np.ndarray], entity_ids: _Ids, tenor_ids: _Ids
 ) -> bool:
-    """Parse the chunks `spans` of `text` into `columns` from `row` on.
+    """Parse the chunks `spans` of `text` into `columns` from their first row on.
 
     Returns False at the first chunk that is not well-formed.
     """
-    day_of = _Days()
+    day_of, row = _Days(), 0
     for start, end, n in spans:
         out = [column[row : row + n] for column in columns]
         if not _parse_chunk(text[start:end], out, entity_ids, tenor_ids, day_of):
@@ -346,15 +349,17 @@ def _parse_halves(
 ) -> bool:
     """`_parse_spans` on two CPUs: a forked child parses the second half.
 
-    The child only parses and sends its rows and labels through a pipe;
-    it writes nothing else and leaves by `os._exit`.  This process
-    parses the first half meanwhile, reads the child's rows into the
-    tail of `columns`, renumbers their labels with its own ids and
-    always reaps the child.  Returns False when either half is not
-    well-formed or the child fails in any way.
+    `columns` are shared mappings, so the child fills their tail in
+    place.  Through a pipe it sends only its labels: the entity count,
+    then the entity and tenor names, one per line.  It writes nothing
+    else and leaves by `os._exit`.  This process parses the first half
+    meanwhile, renumbers the tail's labels with its own ids and always
+    reaps the child.  Returns False when either half is not well-formed
+    or the child exits with any status but 0.
     """
     half = len(spans) // 2
     row = sum(n for _, _, n in spans[:half])
+    tails = [column[row:] for column in columns]
     fds = ()
     try:
         fds = read_end, write_end = os.pipe()
@@ -368,8 +373,9 @@ def _parse_halves(
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                if _parse_spans(text, spans[half:], columns, entity_ids, tenor_ids, row):
-                    _send(pipe, columns, row, entity_ids, tenor_ids)
+                if _parse_spans(text, spans[half:], tails, entity_ids, tenor_ids):
+                    labels = [str(len(entity_ids)), *entity_ids, *tenor_ids]
+                    pipe.write("\n".join(labels).encode("utf-8", "surrogatepass"))
                     code = 0
         finally:
             os._exit(code)
@@ -377,41 +383,15 @@ def _parse_halves(
     try:
         with open(read_end, "rb") as pipe:
             done = _parse_spans(text, spans[:half], columns, entity_ids, tenor_ids)
-            done = done and _receive(pipe, columns, row, entity_ids, tenor_ids)
+            labels = pipe.read() if done else b""
     finally:
         status = os.waitpid(pid, 0)[1]  # the pipe is closed: a child still sending stops
-    return done and status == 0
-
-
-def _send(pipe, columns: list[np.ndarray], row: int, entity_ids: _Ids, tenor_ids: _Ids) -> None:
-    """Write the label counts and lists, then each column from `row` on."""
-    labels = "\n".join([*entity_ids, *tenor_ids]).encode("utf-8", "surrogatepass")
-    pipe.write(np.array([len(entity_ids), len(labels)], np.int64).tobytes())
-    pipe.write(labels)
-    for column in columns:
-        pipe.write(column[row:])
-
-
-def _receive(pipe, columns: list[np.ndarray], row: int, entity_ids: _Ids, tenor_ids: _Ids) -> bool:
-    """Read what `_send` wrote into `columns` from `row` on; False if it is short.
-
-    The child's label ids are mapped to this process's ids in place.
-    """
-    header = pipe.read(16)
-    if len(header) != 16:
+    if not done or status != 0:
         return False
-    entities, size = np.frombuffer(header, np.int64).tolist()
-    labels = pipe.read(size)
-    if len(labels) != size:
-        return False
-    for column in columns:
-        if pipe.readinto(column[row:]) != column[row:].nbytes:
-            return False
-    names = labels.decode("utf-8", "surrogatepass").split("\n")
-    for ids, child_names, column in ((entity_ids, names[:entities], columns[0]),
-                                     (tenor_ids, names[entities:], columns[1])):
-        remap = np.array([ids[name] for name in child_names], np.int64)
-        tail = column[row:]
+    count, *names = labels.decode("utf-8", "surrogatepass").split("\n")
+    child_labels = names[: int(count)], names[int(count) :]  # entities, tenors
+    for ids, child, tail in zip((entity_ids, tenor_ids), child_labels, tails):
+        remap = np.array([ids[name] for name in child], np.int64)
         np.take(remap, tail, out=tail, mode="clip")  # in place; "raise" would copy `tail`
     return True
 

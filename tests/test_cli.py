@@ -617,6 +617,38 @@ def test_synth_matches_recorded_bytes(argv, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SYNTH_SHA256[argv]
 
 
+def _avx512_kernels():
+    """The AVX-512 kernel targets numpy dispatches to on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [
+        target for target in umath.__cpu_dispatch__
+        if (target.startswith("AVX512") or target == "X86_V4") and umath.__cpu_features__[target]
+    ]
+
+
+AVX512_KERNELS = _avx512_kernels()
+
+# exits 99 unless the kernels named in NPY_DISABLE_CPU_FEATURES are off,
+# then prints the sha256 of main's output for each JSON argv in sys.argv
+_DIGESTS_PRELUDE = """
+import hashlib, json, os, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+if any(__cpu_features__[t] for t in os.environ["NPY_DISABLE_CPU_FEATURES"].split()):
+    raise SystemExit(99)
+from benfordtrack.cli import main
+for argv in map(json.loads, sys.argv[1:]):
+    assert main([*argv, "--out", "out"]) == 0
+    with open("out", "rb") as out:
+        print(hashlib.sha256(out.read()).hexdigest())
+"""
+
+
 def _golden_panel():
     """A seeded Benford series with two exact zero changes and one quote
     gap past the 4-day cap, plus a constant series whose windows carry a
@@ -652,3 +684,17 @@ def test_outputs_match_recorded_bytes(argv, fmt, tmp_path):
     assert main([*argv, "--input", str(panel), "--format", fmt, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[(argv[0], fmt)]
+
+
+@pytest.mark.skipif(not AVX512_KERNELS, reason="numpy dispatches no AVX-512 kernel here")
+def test_outputs_match_recorded_bytes_without_avx512_kernels(tmp_path):
+    # the recorded bytes hold on CPUs where numpy runs its AVX2 kernels too
+    panel = tmp_path / "golden.csv"
+    panel.write_text(serialize_panel(_golden_panel()), encoding="utf-8")
+    cells = [(argv, fmt) for argv in (GOLDEN_ANALYZE, GOLDEN_TRACK)
+             for fmt in ("text", "csv", "json")]
+    argvs = [json.dumps([*argv, "--input", str(panel), "--format", fmt]) for argv, fmt in cells]
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_KERNELS)}
+    proc = _cli(argvs, tmp_path, env=env, program=("-c", _DIGESTS_PRELUDE))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().split() == [GOLDEN_SHA256[(a[0], fmt)] for a, fmt in cells]

@@ -1,6 +1,7 @@
 """Digit extraction, the reference law, and histogram counting."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,6 +33,14 @@ TABLE = (0.301, 0.176, 0.125, 0.097, 0.079, 0.067, 0.058, 0.051, 0.046)
 def test_pmf_matches_three_decimal_table():
     for got, want in zip(benford_pmf(), TABLE):
         assert abs(got - want) <= 0.0005
+
+
+def test_pmf_is_the_correctly_rounded_log10_of_each_double():
+    # 60 significant digits, then one rounding to a double
+    with localcontext() as context:
+        context.prec = 60
+        exact = [float(Decimal(1.0 + 1.0 / d).log10()) for d in range(1, 10)]
+    assert [float.hex(p) for p in benford_pmf().tolist()] == list(map(float.hex, exact))
 
 
 def test_pmf_sums_to_one():

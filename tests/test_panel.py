@@ -655,12 +655,12 @@ def test_forked_parse_reads_labels_first_seen_in_the_child(forks, ending, defect
 
 
 @needs_fork
-@pytest.mark.parametrize("failure", ["raise", "die", "short"])
+@pytest.mark.parametrize("failure", ["raise", "die", "exit_7"])
 def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, failure):
     text = _sovereign_panel(entities=3, n=20)
     expected = _rows(panel._parse_lines(text))
     parent = os.getpid()
-    parse_chunk, send = panel._parse_chunk, panel._send
+    parse_chunk, exit_ = panel._parse_chunk, os._exit
 
     def chunk_in_child(*args):
         if os.getpid() != parent:
@@ -669,13 +669,12 @@ def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, 
             os.kill(os.getpid(), signal.SIGKILL)
         return parse_chunk(*args)
 
-    def short_send(pipe, *args):
-        buffer = io.BytesIO()
-        send(buffer, *args)
-        pipe.write(buffer.getvalue()[:-1])
+    def exit_7_in_child(code):
+        # the child has sent all of its labels; only its status is wrong
+        exit_(7 if os.getpid() != parent else code)
 
-    if failure == "short":
-        monkeypatch.setattr(panel, "_send", short_send)
+    if failure == "exit_7":
+        monkeypatch.setattr(os, "_exit", exit_7_in_child)
     else:
         monkeypatch.setattr(panel, "_parse_chunk", chunk_in_child)
     assert panel._parse_columns(text) is None
