@@ -373,10 +373,11 @@ def _parse_halves(
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                if _parse_spans(text, spans[half:], tails, entity_ids, tenor_ids):
+                done = _parse_spans(text, spans[half:], tails, entity_ids, tenor_ids)
+                if done:
                     labels = [str(len(entity_ids)), *entity_ids, *tenor_ids]
                     pipe.write("\n".join(labels).encode("utf-8", "surrogatepass"))
-                    code = 0
+            code = 0 if done else 1  # only once closing the pipe has flushed the labels
         finally:
             os._exit(code)
     os.close(write_end)

@@ -411,49 +411,35 @@ def test_conformity_columns_hold_k_python_scalars(batch):
         assert all(type(v) is kinds[name] for v in column), name
 
 
-_CALIBRATION_DRAWS = 50_000
-
-
-@pytest.mark.parametrize("n", [20, 45, 90])
-def test_small_samples_keep_the_nominal_size(n):
-    # The size of the nominal 5% test on samples far below SMALL_SAMPLE_MIN,
-    # from multinomial samples of the reference law measured in one batch.
-    # The tolerance is five binomial standard errors of the nominal rate
-    # (0.0049 at 50,000 draws); earlier measured sizes were 0.0522 at
-    # n=20, 0.0508 at n=45 and 0.0502 at n=90.
-    alpha = 0.05
-    rng = np.random.Generator(np.random.PCG64(20_450 + n))
-    draws = rng.multinomial(n, benford_pmf(), size=_CALIBRATION_DRAWS)
-    table = conformity(list(map(DigitHistogram, map(tuple, draws.tolist()))), alpha)
-    assert all(table.small_sample)
-    rate = table.verdict.count("reject") / _CALIBRATION_DRAWS
-    tolerance = 5.0 * math.sqrt(alpha * (1.0 - alpha) / _CALIBRATION_DRAWS)
-    assert abs(rate - alpha) <= tolerance
-
-
 # Rejection rates at alpha 0.05 and 0.01, from 400,000 multinomial samples
-# of the reference law per size under PCG64(2016), drawn for 45, 90, 110
-# and 1,500 in turn; README quotes them.  At 0.01 the test rejects more
-# often than nominal on small samples (1.23 alpha at n=45).
+# of the reference law per size under PCG64(2016), drawn for 45, 90, 110,
+# 1,500 and 20 in turn; README quotes them.  At 0.01 the test rejects more
+# often than nominal on small samples (1.23 alpha at n=45, 1.46 at n=20).
 _RECORDED_DRAWS = 400_000
 _RECORDED_SIZE = {
+    20: (0.0529, 0.0146),
     45: (0.0509, 0.0123),
     90: (0.0500, 0.0110),
     110: (0.0503, 0.0110),
     1500: (0.0498, 0.0101),
 }
+_CALIBRATION_DRAWS = 50_000
 
 
 @pytest.mark.parametrize("n", list(_RECORDED_SIZE))
-def test_size_at_the_window_sizes_is_the_recorded_one(n):
-    # 45 and 90 changes are the shortest and the default track window, 110
-    # is SMALL_SAMPLE_MIN and 1,500 a long period.  The tolerance is five
+def test_small_samples_keep_the_nominal_size(n):
+    # The size of the test far below SMALL_SAMPLE_MIN (20), at the shortest
+    # and the default track window (45 and 90 changes), at SMALL_SAMPLE_MIN
+    # (110) and over a long period (1,500), measured in one batch of
+    # multinomial samples of the reference law.  The tolerance is five
     # binomial standard errors of the difference from the recorded rate.
     rng = np.random.Generator(np.random.PCG64(8_000 + n))
     draws = rng.multinomial(n, benford_pmf(), size=_CALIBRATION_DRAWS)
     histograms = list(map(DigitHistogram, map(tuple, draws.tolist())))
     for alpha, size in zip((0.05, 0.01), _RECORDED_SIZE[n]):
-        rate = conformity(histograms, alpha).verdict.count("reject") / _CALIBRATION_DRAWS
+        table = conformity(histograms, alpha)
+        assert set(table.small_sample) == {n < SMALL_SAMPLE_MIN}
+        rate = table.verdict.count("reject") / _CALIBRATION_DRAWS
         variance = size * (1.0 - size) * (1.0 / _CALIBRATION_DRAWS + 1.0 / _RECORDED_DRAWS)
         assert abs(rate - size) <= 5.0 * math.sqrt(variance), (alpha, rate)
 
