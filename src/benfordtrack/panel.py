@@ -189,8 +189,9 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
     first offending line.  Text longer than one chunk is read by two
     processes where `os.fork` exists and two CPUs are allowed, with the
     same results and errors: a forked child parses the second half into
-    columns it shares with this process, sends only its labels back
-    through a pipe and leaves by `os._exit`.  The CLI forks from one
+    the three columns (series id, day, spread) it shares with this
+    process, sends back through a pipe only one ``entity,tenor`` line
+    per series and leaves by `os._exit`.  The CLI forks from one
     thread, as its entry point defaults `OPENBLAS_NUM_THREADS` to 1 (an
     explicit value wins); a caller that loads numpy itself may fork
     beside a BLAS worker thread, which Python 3.12 and later may warn
@@ -240,10 +241,10 @@ _CHUNK = 1 << 17  # characters per columnar step; its per-field strings take abo
 
 
 class _Ids(dict):
-    """Label -> id, numbering each new label at its first lookup."""
+    """Key -> id, numbering each new key at its first lookup."""
 
-    def __missing__(self, label: str) -> int:
-        self[label] = len(self)
+    def __missing__(self, key) -> int:
+        self[key] = len(self)
         return len(self) - 1
 
 
@@ -259,19 +260,19 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     """`_parse_lines` for well-formed text, built as columns, or None.
 
     Works on chunks of whole lines: one `split` per chunk, dates parsed
-    once per distinct string, spreads by `float` and labels numbered,
-    then one stable sort orders the rows.  Returns None, leaving the
-    text to the line parser, whenever it holds anything that parser
-    treats specially or rejects: another line break than "\\n" or
-    "\\r\\n", a blank, comment or padded line, a line without exactly
-    four fields, an invalid date or spread, an empty label or a
-    duplicate row.
+    once per distinct string, spreads by `float` and each row numbered
+    by its (entity, tenor) series, then one stable sort orders the
+    rows.  Returns None, leaving the text to the line parser, whenever
+    it holds anything that parser treats specially or rejects: another
+    line break than "\\n" or "\\r\\n", a blank, comment or padded line, a
+    line without exactly four fields, an invalid date or spread, an
+    empty label or a duplicate row.
     """
     if "\r" in text and text.count("\r") == text.count("\r\n"):
         text = text.replace("\r\n", "\n")  # every "\r" ends a CRLF line
     if not text.startswith(PANEL_HEADER + "\n") or any(mark in text for mark in _OTHER_BREAKS):
         return None
-    entity_ids, tenor_ids = _Ids(), _Ids()
+    series_ids = _Ids()  # (entity, tenor) -> id
     start, stop = len(PANEL_HEADER) + 1, len(text) - text.endswith("\n")
     spans = []  # (start, end, rows) of each chunk of whole lines
     while start < stop:
@@ -282,24 +283,22 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
         start = end + 1
     rows = sum(n for _, _, n in spans)
     # one anonymous shared mapping per column, so a forked child fills its rows in place
-    entity_col, tenor_col, days, spreads = (
+    series_col, days, spreads = (
         np.frombuffer(mmap.mmap(-1, 8 * rows or 1), dtype, rows)
-        for dtype in (np.int64, np.int64, np.int64, np.float64)
+        for dtype in (np.int64, np.int64, np.float64)
     )
     parse = _parse_halves if len(spans) > 1 and _two_cpus() else _parse_spans
-    if not parse(text, spans, [entity_col, tenor_col, days, spreads], entity_ids, tenor_ids):
+    if not parse(text, spans, [series_col, days, spreads], series_ids):
         return None
-    if "" in entity_ids or "" in tenor_ids or not ((spreads > 0.0) & (spreads < np.inf)).all():
+    if any("" in key for key in series_ids) or not ((spreads > 0.0) & (spreads < np.inf)).all():
         return None
-    entity_names, entity_rank = _sorted_ids(entity_ids)
-    tenor_names, tenor_rank = _sorted_ids(tenor_ids)
+    names = sorted(series_ids)  # the (entity, tenor) order of `_parse_lines`
+    rank = np.empty(len(names), np.int64)
+    rank[[series_ids[name] for name in names]] = np.arange(len(names))
     # (series, date) as one integer, series numbered in (entity, tenor) order;
-    # it fits int64 for up to 2.5e12 label pairs
-    order_key = entity_rank[entity_col]
-    del entity_col  # free each column after its last read, to keep the peak low
-    order_key *= len(tenor_names)
-    order_key += tenor_rank[tenor_col]
-    del tenor_col
+    # it fits int64 for up to 2.5e12 series
+    order_key = rank[series_col]
+    del series_col  # free each column after its last read, to keep the peak low
     order_key *= _DAY_SPAN
     order_key += days
     order_key -= _FIRST_DAY.astype(np.int64)
@@ -317,8 +316,7 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     bounds = [*np.flatnonzero(np.diff(keys, prepend=-1)).tolist(), len(keys)]
     series = [SpreadSeries.__new__(SpreadSeries) for _ in bounds[1:]]
     for s, lo, hi in zip(series, bounds, bounds[1:]):
-        entity, tenor = divmod(int(keys[lo]), len(tenor_names))
-        s._store(entity_names[entity], tenor_names[tenor], dates[lo:hi], spreads[lo:hi])
+        s._store(*names[keys[lo]], dates[lo:hi], spreads[lo:hi])
     return series
 
 
@@ -328,9 +326,7 @@ def _two_cpus() -> bool:
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) > 1
 
 
-def _parse_spans(
-    text: str, spans: list, columns: list[np.ndarray], entity_ids: _Ids, tenor_ids: _Ids
-) -> bool:
+def _parse_spans(text: str, spans: list, columns: list[np.ndarray], series_ids: _Ids) -> bool:
     """Parse the chunks `spans` of `text` into `columns` from their first row on.
 
     Returns False at the first chunk that is not well-formed.
@@ -338,22 +334,21 @@ def _parse_spans(
     day_of, row = _Days(), 0
     for start, end, n in spans:
         out = [column[row : row + n] for column in columns]
-        if not _parse_chunk(text[start:end], out, entity_ids, tenor_ids, day_of):
+        if not _parse_chunk(text[start:end], out, series_ids, day_of):
             return False
         row += n
     return True
 
 
-def _parse_halves(
-    text: str, spans: list, columns: list[np.ndarray], entity_ids: _Ids, tenor_ids: _Ids
-) -> bool:
+def _parse_halves(text: str, spans: list, columns: list[np.ndarray], series_ids: _Ids) -> bool:
     """`_parse_spans` on two CPUs: a forked child parses the second half.
 
     `columns` are shared mappings, so the child fills their tail in
-    place.  Through a pipe it sends only its labels: the entity count,
-    then the entity and tenor names, one per line.  It writes nothing
-    else and leaves by `os._exit`.  This process parses the first half
-    meanwhile, renumbers the tail's labels with its own ids and always
+    place.  Through a pipe it sends only its series labels, one
+    ``entity,tenor`` line per series; labels hold no comma or line
+    break, so each line splits back exactly.  It writes nothing else
+    and leaves by `os._exit`.  This process parses the first half
+    meanwhile, renumbers the tail's series with its own ids and always
     reaps the child.  Returns False when either half is not well-formed
     or the child exits with any status but 0.
     """
@@ -367,40 +362,36 @@ def _parse_halves(
     except OSError:  # no descriptor or process to spare: parse here alone
         for fd in fds:
             os.close(fd)
-        return _parse_spans(text, spans, columns, entity_ids, tenor_ids)
+        return _parse_spans(text, spans, columns, series_ids)
     if pid == 0:
         code = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                done = _parse_spans(text, spans[half:], tails, entity_ids, tenor_ids)
+                done = _parse_spans(text, spans[half:], tails, series_ids)
                 if done:
-                    labels = [str(len(entity_ids)), *entity_ids, *tenor_ids]
-                    pipe.write("\n".join(labels).encode("utf-8", "surrogatepass"))
+                    labels = "\n".join(map(",".join, series_ids))
+                    pipe.write(labels.encode("utf-8", "surrogatepass"))
             code = 0 if done else 1  # only once closing the pipe has flushed the labels
         finally:
             os._exit(code)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            done = _parse_spans(text, spans[:half], columns, entity_ids, tenor_ids)
+            done = _parse_spans(text, spans[:half], columns, series_ids)
             labels = pipe.read() if done else b""
     finally:
         status = os.waitpid(pid, 0)[1]  # the pipe is closed: a child still sending stops
     if not done or status != 0:
         return False
-    count, *names = labels.decode("utf-8", "surrogatepass").split("\n")
-    child_labels = names[: int(count)], names[int(count) :]  # entities, tenors
-    for ids, child, tail in zip((entity_ids, tenor_ids), child_labels, tails):
-        remap = np.array([ids[name] for name in child], np.int64)
-        np.take(remap, tail, out=tail, mode="clip")  # in place; "raise" would copy `tail`
+    lines = labels.decode("utf-8", "surrogatepass").split("\n")
+    remap = np.array([series_ids[tuple(line.split(","))] for line in lines], np.int64)
+    np.take(remap, tails[0], out=tails[0], mode="clip")  # in place; "raise" would copy
     return True
 
 
-def _parse_chunk(
-    chunk: str, out: list[np.ndarray], entity_ids: _Ids, tenor_ids: _Ids, day_of: _Days
-) -> bool:
-    """Fill `out` with the entity ids, tenor ids, days and spreads of whole lines.
+def _parse_chunk(chunk: str, out: list[np.ndarray], series_ids: _Ids, day_of: _Days) -> bool:
+    """Fill `out` with the series ids, days and spreads of whole lines.
 
     Returns False, leaving `out` partly filled, when a line is not
     well-formed.  Its per-field strings die on return, so one chunk's
@@ -414,23 +405,15 @@ def _parse_chunk(
     dates, entities, tenors, spreads = (fields[i::4] for i in range(4))
     if "_" in "".join(spreads):
         return False
-    entity_out, tenor_out, days_out, spreads_out = out
+    series_out, days_out, spreads_out = out
     try:
         days_out[:] = np.fromiter(map(day_of.__getitem__, dates), np.int64, rows)
         spreads_out[:] = np.fromiter(map(float, spreads), np.float64, rows)
     except ValueError:
         return False  # an invalid date or spread
-    entity_out[:] = np.fromiter(map(entity_ids.__getitem__, entities), np.int64, rows)
-    tenor_out[:] = np.fromiter(map(tenor_ids.__getitem__, tenors), np.int64, rows)
+    # zip reuses its tuple for a key already numbered, so no per-row object is built
+    series_out[:] = np.fromiter(map(series_ids.__getitem__, zip(entities, tenors)), np.int64, rows)
     return True
-
-
-def _sorted_ids(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
-    """The labels in sorted order, and each id's position in that order."""
-    names = sorted(ids)
-    rank = np.empty(len(names), np.int64)
-    rank[[ids[name] for name in names]] = np.arange(len(names))
-    return names, rank
 
 
 def serialize_panel(series: Iterable[SpreadSeries]) -> str:

@@ -472,9 +472,10 @@ def test_parsed_panel_keeps_columns_not_row_objects(monkeypatch):
     assert sum(len(s.spreads) for s in series) == rows
     # two 8-byte columns per row, plus a little per series
     assert retained <= 32 * rows
-    # at most five 8-byte columns per row at once, plus one chunk's strings
-    # (45.9 bytes per row measured; 66 when chunks were concatenated)
-    assert peak <= 52 * rows
+    # three 8-byte parse columns per row plus one chunk's strings (38.0 bytes
+    # per row measured), then at most five 8-byte columns per row during the
+    # sort (40.2 measured; 45.9 with separate entity and tenor columns)
+    assert peak <= 45 * rows
 
 
 def test_parsed_columns_are_views_that_stay_read_only():
@@ -695,6 +696,34 @@ def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, 
     _assert_no_child_left()
     assert _rows(parse_panel(text)) == expected
     assert len(forks) == 2
+
+
+def _labels_that_sort_apart():
+    """A shuffled panel whose (entity, tenor) order differs from that of the
+    joined "entity,tenor" strings: "!", " " and "+" sort below ","."""
+    rng = random.Random(5)
+    day = date(2010, 1, 4)
+    body = [
+        f"{day + timedelta(days=k)},{entity},{tenor},{rng.uniform(10, 900)!r}"
+        for entity in ("A", "A!", "A B")
+        for tenor in ("5Y", "5Y+")
+        for k in range(12)
+    ]
+    rng.shuffle(body)
+    return "\n".join([panel.PANEL_HEADER, *body]) + "\n"
+
+
+@pytest.mark.parametrize("forked", [False, pytest.param(True, marks=needs_fork)])
+def test_series_come_in_entity_then_tenor_order(forked, request):
+    text = _labels_that_sort_apart()
+    forks = request.getfixturevalue("forks") if forked else []
+    expected = _rows(panel._parse_lines(text))
+    series = parse_panel(text)
+    assert len(forks) == forked
+    assert _rows(series) == expected
+    assert [(s.entity, s.tenor) for s in series] == [
+        ("A", "5Y"), ("A", "5Y+"), ("A B", "5Y"), ("A B", "5Y+"), ("A!", "5Y"), ("A!", "5Y+"),
+    ]
 
 
 def _no_fork():
