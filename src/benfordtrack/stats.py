@@ -63,9 +63,11 @@ def _chi_square_tail(stat) -> np.ndarray:
     stay normal wherever the tail does and subnormal tails are kept.
     Statistics above 8000, whose tail is 0, are clamped there so the
     cubic stays finite, and the last rounding is clamped into [0, 1].
+    The factors come from libm's `math.exp`, as the last bit of `np.exp`
+    depends on the CPU kernel numpy dispatches.
     """
     s = np.minimum(stat, 8000.0)
-    half = np.exp(-0.25 * s)
+    half = np.vectorize(math.exp, otypes=[float])(-0.25 * s)
     return np.minimum(half * (1.0 + s * (0.5 + s * (0.125 + s / 48.0))) * half, 1.0)
 
 

@@ -9,6 +9,7 @@ CSV one f-string row at a time, and JSON through a dict document and
 json.dumps.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -22,9 +23,12 @@ from benfordtrack import (
     SMALL_SAMPLE_MIN,
     ChangeSeries,
     ConformityStats,
+    DigitHistogram,
     benford_pmf,
     chi_square_pvalue,
+    conformity,
 )
+from benfordtrack.digits import mantissa_exponent
 from benfordtrack.panel import PANEL_HEADER
 from benfordtrack.synthetic import SynthSpec, synth_panel
 
@@ -125,6 +129,22 @@ def scalar_rule_probes():
     values += [5e-324, 2.225073858507201e-308]
     values += [-v for v in values]
     return values + [0.0, -0.0]
+
+
+def kernel_digests() -> list[str]:
+    """sha256 of bits that numpy's CPU kernels could move.
+
+    The p-values of 4,000 seeded multinomial Benford samples of 90
+    digits, then the mantissas and exponents of the nonzero
+    `scalar_rule_probes`.
+    """
+    counts = np.random.Generator(np.random.PCG64(90)).multinomial(90, benford_pmf(), 4000)
+    p_value = conformity([DigitHistogram(tuple(row)) for row in counts.tolist()]).p_value
+    m, e = mantissa_exponent([v for v in scalar_rule_probes() if v != 0.0])
+    return [
+        hashlib.sha256(np.array(p_value).tobytes()).hexdigest(),
+        hashlib.sha256(m.tobytes() + e.astype(np.int64).tobytes()).hexdigest(),
+    ]
 
 
 def direct_chi2(counts, total):

@@ -22,7 +22,7 @@ from benfordtrack import (
 )
 from benfordtrack.cli import main
 from benfordtrack.panel import _CHUNK
-from helpers import cli_env
+from helpers import cli_env, kernel_digests
 
 
 def run_cli(argv, capsys):
@@ -633,6 +633,7 @@ AVX512_KERNELS = _avx512_kernels()
 
 # exits 99 unless the kernels named in NPY_DISABLE_CPU_FEATURES are off,
 # then prints the sha256 of main's output for each JSON argv in sys.argv
+# and the `kernel_digests`
 _DIGESTS_PRELUDE = """
 import hashlib, json, os, sys
 try:
@@ -646,6 +647,8 @@ for argv in map(json.loads, sys.argv[1:]):
     assert main([*argv, "--out", "out"]) == 0
     with open("out", "rb") as out:
         print(hashlib.sha256(out.read()).hexdigest())
+from helpers import kernel_digests
+print(*kernel_digests())
 """
 
 
@@ -688,13 +691,17 @@ def test_outputs_match_recorded_bytes(argv, fmt, tmp_path):
 
 @pytest.mark.skipif(not AVX512_KERNELS, reason="numpy dispatches no AVX-512 kernel here")
 def test_outputs_match_recorded_bytes_without_avx512_kernels(tmp_path):
-    # the recorded bytes hold on CPUs where numpy runs its AVX2 kernels too
+    # the recorded bytes, p-values and digits hold on CPUs where numpy runs
+    # its AVX2 kernels too
     panel = tmp_path / "golden.csv"
     panel.write_text(serialize_panel(_golden_panel()), encoding="utf-8")
     cells = [(argv, fmt) for argv in (GOLDEN_ANALYZE, GOLDEN_TRACK)
              for fmt in ("text", "csv", "json")]
     argvs = [json.dumps([*argv, "--input", str(panel), "--format", fmt]) for argv, fmt in cells]
-    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_KERNELS)}
+    tests = os.path.dirname(os.path.abspath(__file__))  # for helpers
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_KERNELS),
+           "PYTHONPATH": os.pathsep.join([cli_env()["PYTHONPATH"], tests])}
     proc = _cli(argvs, tmp_path, env=env, program=("-c", _DIGESTS_PRELUDE))
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout.decode().split() == [GOLDEN_SHA256[(a[0], fmt)] for a, fmt in cells]
+    golden = [GOLDEN_SHA256[(a[0], fmt)] for a, fmt in cells]
+    assert proc.stdout.decode().split() == [*golden, *kernel_digests()]
