@@ -241,9 +241,9 @@ _CHUNK = 1 << 17  # characters per columnar step; its per-field strings take abo
 
 
 class _Ids(dict):
-    """Key -> id, numbering each new key at its first lookup."""
+    """(entity, tenor) -> series id, numbering each new pair at its first lookup."""
 
-    def __missing__(self, key) -> int:
+    def __missing__(self, key: tuple[str, str]) -> int:
         self[key] = len(self)
         return len(self) - 1
 
@@ -272,7 +272,7 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
         text = text.replace("\r\n", "\n")  # every "\r" ends a CRLF line
     if not text.startswith(PANEL_HEADER + "\n") or any(mark in text for mark in _OTHER_BREAKS):
         return None
-    series_ids = _Ids()  # (entity, tenor) -> id
+    series_ids = _Ids()
     start, stop = len(PANEL_HEADER) + 1, len(text) - text.endswith("\n")
     spans = []  # (start, end, rows) of each chunk of whole lines
     while start < stop:

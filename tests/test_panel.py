@@ -474,7 +474,7 @@ def test_parsed_panel_keeps_columns_not_row_objects(monkeypatch):
     assert retained <= 32 * rows
     # three 8-byte parse columns per row plus one chunk's strings (38.0 bytes
     # per row measured), then at most five 8-byte columns per row during the
-    # sort (40.2 measured; 45.9 with separate entity and tenor columns)
+    # sort (40.2 measured)
     assert peak <= 45 * rows
 
 
