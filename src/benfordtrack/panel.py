@@ -186,16 +186,14 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
     (entity, tenor, date) triple is a hard error, as are nonpositive or
     non-finite spreads.  Well-formed text is read as columns; any other
     text goes to the line-by-line reference parser, which reports the
-    first offending line.  Text longer than one chunk is read by two
-    processes where `os.fork` exists and two CPUs are allowed, with the
-    same results and errors: a forked child parses the second half into
-    the three columns (series id, day, spread) it shares with this
-    process, sends back through a pipe only one ``entity,tenor`` line
-    per series and leaves by `os._exit`.  The CLI forks from one
-    thread, as its entry point defaults `OPENBLAS_NUM_THREADS` to 1 (an
-    explicit value wins); a caller that loads numpy itself may fork
-    beside a BLAS worker thread, which Python 3.12 and later may warn
-    about (DeprecationWarning, hidden by default).
+    first offending line.  Text longer than one chunk is read with the
+    same results and errors by this process and a forked child, which
+    claim chunks from either end, where `os.fork` exists and two CPUs
+    are allowed (see `_parse_all`).  The CLI forks from one thread, as
+    its entry point defaults `OPENBLAS_NUM_THREADS` to 1 (an explicit
+    value wins); a caller that loads numpy itself may fork beside a BLAS
+    worker thread, which Python 3.12 and later may warn about
+    (DeprecationWarning, hidden by default).
     """
     text = source if isinstance(source, str) else source.read()
     series = _parse_columns(text)
@@ -238,6 +236,7 @@ _NOT_IN_LABELS = ",\n" + _OTHER_BREAKS
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 _CHUNK = 1 << 17  # characters per columnar step; its per-field strings take about 9x that
+_TOKENS = 512  # claim tokens at most, as a pipe holds PIPE_BUF (512 or more) bytes
 
 
 class _Ids(dict):
@@ -261,12 +260,12 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
 
     Works on chunks of whole lines: one `split` per chunk, dates parsed
     once per distinct string, spreads by `float` and each row numbered
-    by its (entity, tenor) series, then one stable sort orders the
-    rows.  Returns None, leaving the text to the line parser, whenever
-    it holds anything that parser treats specially or rejects: another
-    line break than "\\n" or "\\r\\n", a blank, comment or padded line, a
-    line without exactly four fields, an invalid date or spread, an
-    empty label or a duplicate row.
+    by its (entity, tenor) series, then one sort orders the rows.
+    Returns None, leaving the text to the line parser, whenever it holds
+    anything that parser treats specially or rejects: another line break
+    than "\\n" or "\\r\\n", a blank, comment or padded line, a line
+    without exactly four fields, an invalid date or spread, an empty
+    label or a duplicate row.
     """
     if "\r" in text and text.count("\r") == text.count("\r\n"):
         text = text.replace("\r\n", "\n")  # every "\r" ends a CRLF line
@@ -274,21 +273,21 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
         return None
     series_ids = _Ids()
     start, stop = len(PANEL_HEADER) + 1, len(text) - text.endswith("\n")
-    spans = []  # (start, end, rows) of each chunk of whole lines
+    spans, rows = [], 0  # (start, end, first row, end row) of each chunk of whole lines
     while start < stop:
         end = stop if stop - start <= _CHUNK else text.rfind("\n", start, start + _CHUNK)
         if end < 0:
             return None  # a line longer than a chunk
-        spans.append((start, end, text.count("\n", start, end) + 1))
-        start = end + 1
-    rows = sum(n for _, _, n in spans)
+        spans.append((start, end, rows, rows + text.count("\n", start, end) + 1))
+        rows, start = spans[-1][3], end + 1
+    if not spans:
+        return []  # the header alone
     # one anonymous shared mapping per column, so a forked child fills its rows in place
     series_col, days, spreads = (
-        np.frombuffer(mmap.mmap(-1, 8 * rows or 1), dtype, rows)
+        np.frombuffer(mmap.mmap(-1, 8 * rows), dtype, rows)
         for dtype in (np.int64, np.int64, np.float64)
     )
-    parse = _parse_halves if len(spans) > 1 and _two_cpus() else _parse_spans
-    if not parse(text, spans, [series_col, days, spreads], series_ids):
+    if not _parse_all(text, spans, [series_col, days, spreads], series_ids):
         return None
     if any("" in key for key in series_ids) or not ((spreads > 0.0) & (spreads < np.inf)).all():
         return None
@@ -301,19 +300,20 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     del series_col  # free each column after its last read, to keep the peak low
     order_key *= _DAY_SPAN
     order_key += days
+    del days  # the key holds the day
     order_key -= _FIRST_DAY.astype(np.int64)
-    order = np.argsort(order_key, kind="stable")
+    order = np.argsort(order_key)  # unique keys, if accepted: any sort gives this order
     keys = order_key[order]
     del order_key
     if (keys[1:] == keys[:-1]).any():
-        return None  # a duplicate (entity, tenor, date)
-    keys //= _DAY_SPAN  # the series number of each sorted row
-    dates = days.view("datetime64[D]")[order]
-    del days
+        return None  # a duplicate (entity, tenor, date), now next to each other
     spreads = spreads[order]
     del order
-    dates.flags.writeable = spreads.flags.writeable = False  # series hold views
-    bounds = [*np.flatnonzero(np.diff(keys, prepend=-1)).tolist(), len(keys)]
+    days = keys % _DAY_SPAN + _FIRST_DAY.astype(np.int64)
+    keys //= _DAY_SPAN  # the series number of each sorted row
+    days.flags.writeable = spreads.flags.writeable = False  # series hold views
+    dates = days.view("datetime64[D]")
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
     series = [SpreadSeries.__new__(SpreadSeries) for _ in bounds[1:]]
     for s, lo, hi in zip(series, bounds, bounds[1:]):
         s._store(*names[keys[lo]], dates[lo:hi], spreads[lo:hi])
@@ -326,67 +326,79 @@ def _two_cpus() -> bool:
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) > 1
 
 
-def _parse_spans(text: str, spans: list, columns: list[np.ndarray], series_ids: _Ids) -> bool:
-    """Parse the chunks `spans` of `text` into `columns` from their first row on.
-
-    Returns False at the first chunk that is not well-formed.
-    """
-    day_of, row = _Days(), 0
-    for start, end, n in spans:
-        out = [column[row : row + n] for column in columns]
+def _parse_spans(text: str, spans: list, chunks: Iterable[int], columns: list[np.ndarray],
+                 series_ids: _Ids) -> int | None:
+    """Parse the chunks numbered by `chunks` into their rows of `columns`: returns
+    how many it parsed, or None at the first chunk that is not well-formed."""
+    day_of, parsed = _Days(), 0
+    for parsed, k in enumerate(chunks, 1):
+        start, end, lo, hi = spans[k]
+        out = [column[lo:hi] for column in columns]
         if not _parse_chunk(text[start:end], out, series_ids, day_of):
-            return False
-        row += n
-    return True
+            return None
+    return parsed
 
 
-def _parse_halves(text: str, spans: list, columns: list[np.ndarray], series_ids: _Ids) -> bool:
-    """`_parse_spans` on two CPUs: a forked child parses the second half.
+def _parse_all(text: str, spans: list, columns: list[np.ndarray], series_ids: _Ids) -> bool:
+    """`_parse_spans` over every chunk, with a forked child where two CPUs are allowed.
 
-    `columns` are shared mappings, so the child fills their tail in
-    place.  Through a pipe it sends only its series labels, one
-    ``entity,tenor`` line per series; labels hold no comma or line
-    break, so each line splits back exactly.  It writes nothing else
-    and leaves by `os._exit`.  This process parses the first half
-    meanwhile, renumbers the tail's series with its own ids and always
-    reaps the child.  Returns False when either half is not well-formed
-    or the child exits with any status but 0.
+    Each process claims a run of chunks by reading one of the tokens put
+    in a pipe before the fork, this one from the front and the child from
+    the back, so the child fills one tail of the shared `columns`.  One
+    that meets a chunk that is not well-formed drains the tokens, so the
+    other stops at its next claim.  The child sends its chunk count, then
+    one ``entity,tenor`` line per series (labels hold no comma or line
+    break), and leaves by `os._exit`; this process renumbers the tail's
+    series with its own ids and always reaps the child.  Returns False for
+    a chunk that is not well-formed or a child exit status other than 0.
     """
-    half = len(spans) // 2
-    row = sum(n for _, _, n in spans[:half])
-    tails = [column[row:] for column in columns]
-    fds = ()
+    every = range(len(spans))
+    if len(spans) < 2 or not _two_cpus():
+        return _parse_spans(text, spans, every, columns, series_ids) is not None
+    runs, fds = np.array_split(every, min(len(spans), _TOKENS)), []  # one run per token
     try:
-        fds = read_end, write_end = os.pipe()
+        fds += os.pipe()
+        os.write(fds[1], bytes(len(runs)))  # fewer bytes than a pipe holds: never blocks
+        os.close(fds.pop())
+        fds += os.pipe()
         pid = os.fork()
     except OSError:  # no descriptor or process to spare: parse here alone
         for fd in fds:
             os.close(fd)
-        return _parse_spans(text, spans, columns, series_ids)
+        return _parse_spans(text, spans, every, columns, series_ids) is not None
+    claims, read_end, write_end = fds
     if pid == 0:
         code = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                done = _parse_spans(text, spans[half:], tails, series_ids)
-                if done:
-                    labels = "\n".join(map(",".join, series_ids))
+                back = (k for run in runs[::-1] if os.read(claims, 1) for k in run)
+                taken = _parse_spans(text, spans, back, columns, series_ids)
+                while taken is None and os.read(claims, _TOKENS):
+                    pass  # stops the parent at its next claim
+                if taken is not None:
+                    labels = "\n".join([str(taken), *map(",".join, series_ids)])
                     pipe.write(labels.encode("utf-8", "surrogatepass"))
-            code = 0 if done else 1  # only once closing the pipe has flushed the labels
+            code = 0 if taken is not None else 1  # only once the pipe has flushed the labels
         finally:
             os._exit(code)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            done = _parse_spans(text, spans[:half], columns, series_ids)
+            front = (k for run in runs if os.read(claims, 1) for k in run)
+            done = _parse_spans(text, spans, front, columns, series_ids) is not None
             labels = pipe.read() if done else b""
     finally:
+        while os.read(claims, _TOKENS):
+            pass  # a parse that stopped early stops the child at its next claim
+        os.close(claims)
         status = os.waitpid(pid, 0)[1]  # the pipe is closed: a child still sending stops
     if not done or status != 0:
         return False
-    lines = labels.decode("utf-8", "surrogatepass").split("\n")
+    taken, *lines = labels.decode("utf-8", "surrogatepass").split("\n")
+    tail = columns[0][spans[-int(taken)][2] if int(taken) else len(columns[0]) :]
     remap = np.array([series_ids[tuple(line.split(","))] for line in lines], np.int64)
-    np.take(remap, tails[0], out=tails[0], mode="clip")  # in place; "raise" would copy
+    np.take(remap, tail, out=tail, mode="clip")  # in place; "raise" would copy
     return True
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import signal
+import time
 import tracemalloc
 import types
 from datetime import date, timedelta
@@ -473,9 +474,9 @@ def test_parsed_panel_keeps_columns_not_row_objects(monkeypatch):
     # two 8-byte columns per row, plus a little per series
     assert retained <= 32 * rows
     # three 8-byte parse columns per row plus one chunk's strings (38.0 bytes
-    # per row measured), then at most five 8-byte columns per row during the
-    # sort (40.2 measured)
-    assert peak <= 45 * rows
+    # per row measured), then at most four 8-byte columns per row during the
+    # sort (a fifth column alive there measured 40.2)
+    assert peak <= 40 * rows
 
 
 def test_parsed_columns_are_views_that_stay_read_only():
@@ -649,29 +650,134 @@ def test_forked_parse_matches_the_line_parser_on_mutated_panels(forks):
     assert min(outcomes.values()) > 50, outcomes
 
 
+def _claims_logged(text, tmp_path, hold):
+    """`_parse_columns(text)`, each process logging its chunks to one file.
+
+    Entries name the process ("P" for this one, "C" for the forked child):
+    "start" before its first chunk, "ok" or "bad" after each chunk and
+    "done" once it stops claiming.  Before its first chunk a process
+    waits, for at most 10 s, while `hold(process, entries)` is true.
+    Returns the result and the entries.
+    """
+    path = tmp_path / "claims.log"
+    path.write_text("")
+    parent, parse_chunk, parse_spans = os.getpid(), panel._parse_chunk, panel._parse_spans
+
+    def who():
+        return "P" if os.getpid() == parent else "C"
+
+    def entries():
+        return path.read_text().splitlines()
+
+    def log(entry):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        os.write(fd, f"{who()} {entry}\n".encode())  # one write: entries never interleave
+        os.close(fd)
+
+    def chunk(*args):
+        me = who()
+        if f"{me} start" not in entries():
+            log("start")
+            deadline = time.monotonic() + 10
+            while hold(me, entries()) and time.monotonic() < deadline:
+                time.sleep(0.001)
+        done = parse_chunk(*args)
+        log("ok" if done else "bad")
+        return done
+
+    def spans(*args):
+        taken = parse_spans(*args)
+        log("done")
+        return taken
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(panel, "_parse_chunk", chunk)
+        patch.setattr(panel, "_parse_spans", spans)
+        result = panel._parse_columns(text)
+    return result, entries()
+
+
+def _stall(staller):
+    """`staller` holds its first chunk until the other process stops
+    claiming, which first waits for the staller to start."""
+    other = "C" if staller == "P" else "P"
+
+    def hold(me, entries):
+        return (f"{other} done" if me == staller else f"{staller} start") not in entries
+
+    return hold
+
+
 @needs_fork
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 @pytest.mark.parametrize("defect", [None, "head", "tail"])
-def test_forked_parse_reads_labels_first_seen_in_the_child(forks, ending, defect):
-    # serialize_panel sorts by entity, so the child's half holds the later
-    # entities only
+def test_forked_parse_reads_labels_first_seen_in_the_child(forks, tmp_path, ending, defect):
+    # serialize_panel sorts by entity and this process keeps only the first
+    # chunk, so the child alone sees the later entities
     lines = _sovereign_panel(entities=6, n=8).splitlines()
     if defect is not None:
         i = 3 if defect == "head" else len(lines) - 3
         lines[i] = lines[i].replace(",", ";", 1)
     text = ending.join(lines) + ending
-    reference, columnar = _compare_parsers(text)
-    assert len(forks) == 2  # parse_panel and _parse_columns
-    assert columnar is (defect is None)
+    reference = _outcome(panel._parse_lines, text)
+    columnar, entries = _claims_logged(text, tmp_path, _stall("P"))
+    assert len(forks) == 1
+    assert entries.count("P ok") + entries.count("P bad") == 1
+    assert "C bad" in entries if defect == "tail" else entries.count("C ok") > 10
     if defect is None:
-        assert len(reference) == 12
+        assert len(reference) == 12 and _rows(columnar) == reference
     else:
-        assert reference[0] == i + 1
+        assert columnar is None and reference[0] == i + 1
+    assert _outcome(parse_panel, text) == reference
+    assert len(forks) == 2
+
+
+@needs_fork
+@pytest.mark.parametrize("staller", ["P", "C"])
+def test_the_free_process_claims_every_other_chunk(forks, tmp_path, staller):
+    text = _sovereign_panel(entities=4, n=10)
+    series, entries = _claims_logged(text, tmp_path, _stall(staller))
+    other = "C" if staller == "P" else "P"
+    assert _rows(series) == _rows(panel._parse_lines(text))
+    assert len(forks) == 1
+    assert entries.count(f"{staller} ok") == 1
+    assert entries.count(f"{other} ok") > 10
+    assert "P bad" not in entries and "C bad" not in entries
+
+
+@needs_fork
+def test_each_token_claims_a_run_past_the_token_cap(forks, monkeypatch, tmp_path):
+    monkeypatch.setattr(panel, "_TOKENS", 3)
+    # 40 lines of 21 characters: four lines to each 100-character chunk
+    body = [f"2010-01-{day:02d},E{k},5Y,{day % 9 + 1}.5" for k in (1, 2) for day in range(1, 21)]
+    text = "\n".join([panel.PANEL_HEADER, *body]) + "\n"
+    series, entries = _claims_logged(text, tmp_path, _stall("P"))
+    assert _rows(series) == _rows(panel._parse_lines(text))
+    assert len(forks) == 1
+    # three tokens over ten chunks: runs of 4, 3 and 3, the first one here
+    assert (entries.count("P ok"), entries.count("C ok")) == (4, 6)
+
+
+@needs_fork
+def test_a_bad_chunk_stops_the_other_process(forks, tmp_path):
+    lines = _sovereign_panel(entities=4, n=10).splitlines()
+    lines[2] = lines[2].replace(",", ";", 1)  # in the first chunk, this process's
+    text = "\n".join(lines) + "\n"
+    # each process holds its first chunk: this one until the child has claimed
+    # one, the child until this one has stopped
+    result, entries = _claims_logged(
+        text, tmp_path, lambda me, e: ("C start" if me == "P" else "P done") not in e)
+    assert result is None
+    assert len(forks) == 1
+    assert entries.count("P bad") == 1 and "P ok" not in entries
+    assert 1 <= entries.count("C ok") <= 2  # its first chunk, and one it claimed before the drain
+    assert _outcome(parse_panel, text) == _outcome(panel._parse_lines, text)
 
 
 @needs_fork
 @pytest.mark.parametrize("failure", ["raise", "die", "exit_7"])
-def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, failure):
+def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, tmp_path,
+                                                            failure):
     text = _sovereign_panel(entities=3, n=20)
     expected = _rows(panel._parse_lines(text))
     parent = os.getpid()
@@ -692,7 +798,9 @@ def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, 
         monkeypatch.setattr(os, "_exit", exit_7_in_child)
     else:
         monkeypatch.setattr(panel, "_parse_chunk", chunk_in_child)
-    assert panel._parse_columns(text) is None
+    # this process holds its first chunk until the child has claimed one
+    result, _ = _claims_logged(text, tmp_path, lambda me, e: me == "P" and "C start" not in e)
+    assert result is None
     _assert_no_child_left()
     assert _rows(parse_panel(text)) == expected
     assert len(forks) == 2
