@@ -260,12 +260,13 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
 
     Works on chunks of whole lines: one `split` per chunk, dates parsed
     once per distinct string, spreads by `float` and each row numbered
-    by its (entity, tenor) series, then one sort orders the rows.
-    Returns None, leaving the text to the line parser, whenever it holds
-    anything that parser treats specially or rejects: another line break
-    than "\\n" or "\\r\\n", a blank, comment or padded line, a line
-    without exactly four fields, an invalid date or spread, an empty
-    label or a duplicate row.
+    by its (entity, tenor) series in first-seen order, then one sort
+    orders the rows.  Returns None, leaving the text to the line parser,
+    whenever it holds anything that parser treats specially or rejects:
+    another line break than "\\n" or "\\r\\n", a blank, comment or padded
+    line, a line without exactly four fields, an invalid date or spread,
+    or a series that `SpreadSeries` rejects: an empty label, a spread not
+    positive and finite, or a duplicate row (next to its twin once sorted).
     """
     if "\r" in text and text.count("\r") == text.count("\r\n"):
         text = text.replace("\r\n", "\n")  # every "\r" ends a CRLF line
@@ -283,41 +284,36 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     if not spans:
         return []  # the header alone
     # one anonymous shared mapping per column, so a forked child fills its rows in place
-    series_col, days, spreads = (
+    order_key, days, spreads = (
         np.frombuffer(mmap.mmap(-1, 8 * rows), dtype, rows)
         for dtype in (np.int64, np.int64, np.float64)
     )
-    if not _parse_all(text, spans, [series_col, days, spreads], series_ids):
+    if not _parse_all(text, spans, [order_key, days, spreads], series_ids):
         return None
-    if any("" in key for key in series_ids) or not ((spreads > 0.0) & (spreads < np.inf)).all():
-        return None
-    names = sorted(series_ids)  # the (entity, tenor) order of `_parse_lines`
-    rank = np.empty(len(names), np.int64)
-    rank[[series_ids[name] for name in names]] = np.arange(len(names))
-    # (series, date) as one integer, series numbered in (entity, tenor) order;
-    # it fits int64 for up to 2.5e12 series
-    order_key = rank[series_col]
-    del series_col  # free each column after its last read, to keep the peak low
+    # the id column becomes the (series id, date) key in place, one
+    # integer that fits int64 for up to 2.5e12 series
     order_key *= _DAY_SPAN
     order_key += days
-    del days  # the key holds the day
+    del days  # free each column after its last read, to keep the peak low
     order_key -= _FIRST_DAY.astype(np.int64)
     order = np.argsort(order_key)  # unique keys, if accepted: any sort gives this order
     keys = order_key[order]
     del order_key
-    if (keys[1:] == keys[:-1]).any():
-        return None  # a duplicate (entity, tenor, date), now next to each other
     spreads = spreads[order]
     del order
     days = keys % _DAY_SPAN + _FIRST_DAY.astype(np.int64)
-    keys //= _DAY_SPAN  # the series number of each sorted row
+    keys //= _DAY_SPAN  # the series id of each sorted row
     days.flags.writeable = spreads.flags.writeable = False  # series hold views
     dates = days.view("datetime64[D]")
     bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    names = list(series_ids)  # in id order
     series = [SpreadSeries.__new__(SpreadSeries) for _ in bounds[1:]]
-    for s, lo, hi in zip(series, bounds, bounds[1:]):
-        s._store(*names[keys[lo]], dates[lo:hi], spreads[lo:hi])
-    return series
+    try:
+        for s, lo, hi in zip(series, bounds, bounds[1:]):
+            s._store(*names[keys[lo]], dates[lo:hi], spreads[lo:hi])
+    except ValueError:
+        return None
+    return sorted(series, key=lambda s: (s.entity, s.tenor))  # the order of `_parse_lines`
 
 
 def _two_cpus() -> bool:
@@ -344,13 +340,13 @@ def _parse_all(text: str, spans: list, columns: list[np.ndarray], series_ids: _I
 
     Each process claims a run of chunks by reading one of the tokens put
     in a pipe before the fork, this one from the front and the child from
-    the back, so the child fills one tail of the shared `columns`.  One
-    that meets a chunk that is not well-formed drains the tokens, so the
-    other stops at its next claim.  The child sends its chunk count, then
-    one ``entity,tenor`` line per series (labels hold no comma or line
-    break), and leaves by `os._exit`; this process renumbers the tail's
-    series with its own ids and always reaps the child.  Returns False for
-    a chunk that is not well-formed or a child exit status other than 0.
+    the back, so the child fills the tail of the shared `columns` after
+    this one's chunks.  One that meets a chunk that is not well-formed
+    drains the tokens, so the other stops at its next claim.  The child
+    sends only one ``entity,tenor`` line per series (labels hold no comma
+    or line break) and leaves by `os._exit`; this process renumbers the
+    tail's series with its own ids and always reaps the child.  Returns
+    False for a bad chunk or a child exit status other than 0.
     """
     every = range(len(spans))
     if len(spans) < 2 or not _two_cpus():
@@ -377,7 +373,7 @@ def _parse_all(text: str, spans: list, columns: list[np.ndarray], series_ids: _I
                 while taken is None and os.read(claims, _TOKENS):
                     pass  # stops the parent at its next claim
                 if taken is not None:
-                    labels = "\n".join([str(taken), *map(",".join, series_ids)])
+                    labels = "\n".join(map(",".join, series_ids))
                     pipe.write(labels.encode("utf-8", "surrogatepass"))
             code = 0 if taken is not None else 1  # only once the pipe has flushed the labels
         finally:
@@ -386,19 +382,20 @@ def _parse_all(text: str, spans: list, columns: list[np.ndarray], series_ids: _I
     try:
         with open(read_end, "rb") as pipe:
             front = (k for run in runs if os.read(claims, 1) for k in run)
-            done = _parse_spans(text, spans, front, columns, series_ids) is not None
-            labels = pipe.read() if done else b""
+            parsed = _parse_spans(text, spans, front, columns, series_ids)
+            labels = pipe.read() if parsed is not None else b""
     finally:
         while os.read(claims, _TOKENS):
             pass  # a parse that stopped early stops the child at its next claim
         os.close(claims)
         status = os.waitpid(pid, 0)[1]  # the pipe is closed: a child still sending stops
-    if not done or status != 0:
+    if parsed is None or status != 0:
         return False
-    taken, *lines = labels.decode("utf-8", "surrogatepass").split("\n")
-    tail = columns[0][spans[-int(taken)][2] if int(taken) else len(columns[0]) :]
-    remap = np.array([series_ids[tuple(line.split(","))] for line in lines], np.int64)
-    np.take(remap, tail, out=tail, mode="clip")  # in place; "raise" would copy
+    if parsed < len(spans):  # the child's rows follow this process's chunks
+        tail = columns[0][spans[parsed][2] :]
+        lines = labels.decode("utf-8", "surrogatepass").splitlines()
+        remap = np.array([series_ids[tuple(line.split(","))] for line in lines], np.int64)
+        np.take(remap, tail, out=tail, mode="clip")  # in place; "raise" would copy
     return True
 
 

@@ -22,10 +22,10 @@ from .digits import DigitHistogram, benford_pmf
 
 DEGREES_OF_FREEDOM = 8
 
-# The reference law and its natural log, read-only; conformity uses them
-# on every call.
+# The reference law and its libm natural log, read-only; conformity uses
+# them on every call (the last bit of `np.log` depends on numpy's CPU kernel).
 _REF = benford_pmf()
-_LOG_REF = np.log(_REF)
+_LOG_REF = np.array(list(map(math.log, _REF.tolist())))
 _REF.flags.writeable = _LOG_REF.flags.writeable = False
 
 # The smallest sample whose every expected digit count n * P(9) reaches
@@ -101,6 +101,9 @@ def conformity(histograms: Sequence[DigitHistogram], alpha: float = 0.05) -> Con
     freq = counts / scale
     expected = scale * _REF
     chi2 = ((counts - expected) ** 2 / expected).sum(axis=-1)
+    # libm's log of each distinct frequency, an absent digit's taken as 1
+    distinct, where = np.unique((freq + (freq == 0.0)).ravel(), return_inverse=True)
+    log_freq = np.array(list(map(math.log, distinct.tolist())))[where].reshape(freq.shape)
     p_value = _chi_square_tail(chi2).tolist()
     return ConformityStats(
         n=totals,
@@ -108,6 +111,6 @@ def conformity(histograms: Sequence[DigitHistogram], alpha: float = 0.05) -> Con
         p_value=p_value,
         verdict=["accept" if p >= alpha else "reject" for p in p_value],
         chebyshev=np.abs(freq - _REF).max(axis=-1).tolist(),
-        kl=(freq * (np.log(freq + (freq == 0.0)) - _LOG_REF)).sum(axis=-1).tolist(),
+        kl=(freq * (log_freq - _LOG_REF)).sum(axis=-1).tolist(),
         small_sample=[n < SMALL_SAMPLE_MIN for n in totals],
     )

@@ -131,19 +131,32 @@ def scalar_rule_probes():
     return values + [0.0, -0.0]
 
 
+# The first ten frequencies c/n by n (1 <= c <= n) whose natural log under
+# numpy 2.4's AVX-512 `np.log` kernel differs from libm's; each as c counts
+# at one digit and n - c at the next, at all nine digits
+_KL_PROBES = [
+    DigitHistogram(tuple(c if k == d else n - c if k == (d + 1) % 9 else 0 for k in range(9)))
+    for c, n in [(34, 35), (14, 37), (45, 46), (68, 70), (28, 74),
+                 (82, 91), (90, 92), (86, 105), (102, 105), (89, 106)]
+    for d in range(9)
+]
+
+
 def kernel_digests() -> list[str]:
     """sha256 of bits that numpy's CPU kernels could move.
 
     The p-values of 4,000 seeded multinomial Benford samples of 90
     digits, then the mantissas and exponents of the nonzero
-    `scalar_rule_probes`.
+    `scalar_rule_probes`, then the KL divergences of `_KL_PROBES`.
     """
     counts = np.random.Generator(np.random.PCG64(90)).multinomial(90, benford_pmf(), 4000)
     p_value = conformity([DigitHistogram(tuple(row)) for row in counts.tolist()]).p_value
     m, e = mantissa_exponent([v for v in scalar_rule_probes() if v != 0.0])
+    kl = conformity(_KL_PROBES).kl
     return [
         hashlib.sha256(np.array(p_value).tobytes()).hexdigest(),
         hashlib.sha256(m.tobytes() + e.astype(np.int64).tobytes()).hexdigest(),
+        hashlib.sha256(np.array(kl).tobytes()).hexdigest(),
     ]
 
 
@@ -168,8 +181,8 @@ def scalar_conformity(h, alpha=0.05) -> ConformityStats:
 
     The reference for the columnar `conformity`: the same formulas
     reduced over one vector at a time.  KL sums all nine terms, an
-    absent digit's term being zero, and the p-value is the scalar
-    `chi_square_pvalue`.
+    absent digit's term being zero, with libm's logs, and the p-value is
+    the scalar `chi_square_pvalue`.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -185,8 +198,8 @@ def scalar_conformity(h, alpha=0.05) -> ConformityStats:
     stat = float(gap.sum())
     p = chi_square_pvalue(stat)
     freq = counts / total
-    log_ratio = np.log(np.where(freq > 0.0, freq, 1.0))
-    log_ratio -= np.log(ref)
+    log_ratio = np.array([math.log(f) if f > 0.0 else 0.0 for f in freq.tolist()])
+    log_ratio -= [math.log(q) for q in ref.tolist()]
     log_ratio *= freq
     return ConformityStats(
         n=[total],

@@ -650,14 +650,15 @@ def test_forked_parse_matches_the_line_parser_on_mutated_panels(forks):
     assert min(outcomes.values()) > 50, outcomes
 
 
-def _claims_logged(text, tmp_path, hold):
+def _claims_logged(text, tmp_path, hold, hold_claims=lambda me, entries: False):
     """`_parse_columns(text)`, each process logging its chunks to one file.
 
     Entries name the process ("P" for this one, "C" for the forked child):
     "start" before its first chunk, "ok" or "bad" after each chunk and
-    "done" once it stops claiming.  Before its first chunk a process
-    waits, for at most 10 s, while `hold(process, entries)` is true.
-    Returns the result and the entries.
+    "done" once it stops claiming.  Before its first claim a process
+    waits while `hold_claims(process, entries)` is true, and before its
+    first chunk while `hold(process, entries)` is true, each for at most
+    10 s.  Returns the result and the entries.
     """
     path = tmp_path / "claims.log"
     path.write_text("")
@@ -674,18 +675,21 @@ def _claims_logged(text, tmp_path, hold):
         os.write(fd, f"{who()} {entry}\n".encode())  # one write: entries never interleave
         os.close(fd)
 
+    def wait(while_):
+        deadline = time.monotonic() + 10
+        while while_(who(), entries()) and time.monotonic() < deadline:
+            time.sleep(0.001)
+
     def chunk(*args):
-        me = who()
-        if f"{me} start" not in entries():
+        if f"{who()} start" not in entries():
             log("start")
-            deadline = time.monotonic() + 10
-            while hold(me, entries()) and time.monotonic() < deadline:
-                time.sleep(0.001)
+            wait(hold)
         done = parse_chunk(*args)
         log("ok" if done else "bad")
         return done
 
     def spans(*args):
+        wait(hold_claims)
         taken = parse_spans(*args)
         log("done")
         return taken
@@ -730,6 +734,51 @@ def test_forked_parse_reads_labels_first_seen_in_the_child(forks, tmp_path, endi
         assert columnar is None and reference[0] == i + 1
     assert _outcome(parse_panel, text) == reference
     assert len(forks) == 2
+
+
+@needs_fork
+@pytest.mark.parametrize("defect", ["duplicate", "empty_entity", "zero_spread"])
+def test_series_rules_catch_a_defect_in_the_childs_rows(forks, tmp_path, defect):
+    # this process keeps only the first chunk, so the defect is in the
+    # child's rows alone, and it is left to `SpreadSeries` at the sort
+    lines = _sovereign_panel(entities=6, n=8).splitlines()
+    i = len(lines) - 3
+    day, entity, tenor, spread = lines[i].split(",")
+    if defect == "duplicate":
+        i = len(lines)
+        lines.append(lines[1])  # the first data row, in this process's chunk
+    elif defect == "empty_entity":
+        lines[i] = f"{day},,{tenor},{spread}"
+    else:
+        lines[i] = f"{day},{entity},{tenor},0"
+    text = "\n".join(lines) + "\n"
+    reference = _outcome(panel._parse_lines, text)
+    columnar, entries = _claims_logged(text, tmp_path, _stall("P"))
+    assert columnar is None
+    assert len(forks) == 1
+    assert entries.count("P ok") == 1 and "P bad" not in entries
+    assert entries.count("C ok") > 10 and "C bad" not in entries
+    message = {"duplicate": "duplicate observation", "empty_entity": "empty entity",
+               "zero_spread": "nonpositive spread '0'"}[defect]
+    assert reference[0] == i + 1 and message in reference[1]
+    assert _outcome(parse_panel, text) == reference
+    assert len(forks) == 2
+
+
+@needs_fork
+@pytest.mark.parametrize("idle", ["P", "C"])
+def test_a_process_that_claims_no_chunk_leaves_the_rows_to_the_other(forks, tmp_path, idle):
+    # the idle process makes its first claim once the other has stopped;
+    # an idle child leaves no tail, and an idle parent a tail that is the
+    # whole id column
+    text = _sovereign_panel(entities=4, n=10)
+    other = "C" if idle == "P" else "P"
+    series, entries = _claims_logged(
+        text, tmp_path, lambda me, e: False, lambda me, e: me == idle and f"{other} done" not in e)
+    assert _rows(series) == _rows(panel._parse_lines(text))
+    assert len(forks) == 1
+    assert f"{idle} start" not in entries and f"{idle} done" in entries
+    assert entries.count(f"{other} ok") > 10 and f"{other} bad" not in entries
 
 
 @needs_fork
