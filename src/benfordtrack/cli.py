@@ -42,7 +42,6 @@ def _add_io_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_change_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=0.05, help="significance level")
     sub.add_argument(
         "--tenor", action="append", default=None, metavar="TENOR",
         help="restrict to this tenor (repeatable; default all)",
@@ -80,6 +79,7 @@ def _build_parser() -> _Parser:
     )
     _add_io_flags(analyze)
     _add_change_flags(analyze)
+    analyze.add_argument("--alpha", type=float, default=0.05, help="significance level")
     analyze.add_argument(
         "--period", action="append", choices=_PERIOD_LABELS, default=None,
         help="named period to test (repeatable; default all five)",
@@ -144,10 +144,11 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":  # UTF-8 whatever the locale, and no newline translation
+    """The panel's bytes as UTF-8 text, file or stdin alike: no newline translation."""
+    if path == "-":
         return sys.stdin.buffer.read().decode("utf-8")
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -180,11 +181,10 @@ def _load_changes(args):
 def _run_report(parser: _Parser, args):
     """Shared path of `analyze` and `track`: validate, return the report's emitter.
 
-    `args.prepare` checks the command's own flags and returns its meta
+    Checks the flags both commands share; `args.prepare` checks the
+    command's own, `analyze`'s `--alpha` among them, and returns its meta
     parameters and a function that builds the report from the changes.
     """
-    if not 0.0 < args.alpha < 1.0:
-        parser.error("alpha must lie in (0, 1)")
     if args.max_gap_days is not None and args.max_gap_days < 1:
         parser.error("--max-gap-days must be at least 1")
     if (args.date_from is None) != (args.date_to is None):
@@ -197,7 +197,6 @@ def _run_report(parser: _Parser, args):
         "version": __version__,
         "command": args.command,
         "parameters": {
-            "alpha": args.alpha,
             "change_mode": args.change_mode,
             "max_gap_days": args.max_gap_days,
             "tenor": sorted(args.tenor) if args.tenor else None,
@@ -208,6 +207,8 @@ def _run_report(parser: _Parser, args):
 
 
 def _prepare_analyze(parser: _Parser, args):
+    if not 0.0 < args.alpha < 1.0:
+        parser.error("alpha must lie in (0, 1)")
     if args.period and args.date_from is not None:
         parser.error("--period cannot be combined with --from/--to")
     if args.date_from is not None:
@@ -216,6 +217,7 @@ def _prepare_analyze(parser: _Parser, args):
         wanted = args.period or list(_PERIOD_LABELS)
         periods = [p for p in named_periods() if p.label in wanted]
     parameters = {
+        "alpha": args.alpha,
         "periods": {p.label: [p.start.isoformat(), p.end.isoformat()] for p in periods},
     }
     return parameters, lambda changes, meta: build_period_report(
@@ -239,7 +241,7 @@ def _prepare_track(parser: _Parser, args):
     def build(changes, meta):
         if args.date_from is not None:
             changes = [s.slice(args.date_from, args.date_to) for s in changes]
-        return build_track_report(changes, spec, args.alpha, meta=meta)
+        return build_track_report(changes, spec, meta=meta)
 
     return parameters, build
 
@@ -286,7 +288,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

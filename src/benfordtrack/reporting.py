@@ -166,19 +166,19 @@ def build_period_report(
 def build_track_report(
     series: Iterable[ChangeSeries],
     spec: WindowSpec = WindowSpec(),
-    alpha: float = 0.05,
     meta: Mapping | None = None,
 ) -> Report:
     """Rolling-window rows plus per-series trend fits for every metric.
 
-    A window is dated by the first and last date of its range.  Trend
-    fits need at least two windows; a series yielding a single window
-    contributes rows but no trends.
+    A window is dated by the first and last date of its range.  The rows
+    carry measurements only, no verdict, so no significance level is
+    taken.  Trend fits need at least two windows; a series yielding a
+    single window contributes rows but no trends.
     """
     columns = {name: [] for name in TRACK_COLUMNS}
     trends = []
     for s in _by_key(series):
-        stats = track(s, spec, alpha)
+        stats = track(s, spec)
         bounds = [(r.start, r.stop - 1) for r in window_ranges(len(s.changes), spec)]
         starts, ends = np.datetime_as_string(s.dates[np.array(bounds).T]).tolist()
         columns["entity"] += [s.entity] * len(bounds)

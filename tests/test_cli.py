@@ -20,7 +20,7 @@ from benfordtrack import (
     synth_panel,
     window_ranges,
 )
-from benfordtrack.cli import main
+from benfordtrack.cli import _read_input, main
 from benfordtrack.panel import _CHUNK
 from helpers import cli_env, kernel_digests
 
@@ -269,6 +269,16 @@ def test_analyze_alpha_validated_before_input(tmp_path, capsys):
     assert "alpha" in err
 
 
+def test_track_takes_no_alpha(tmp_path, capsys):
+    # track rows carry no verdict, so a significance level would change nothing
+    code, out, err = run_cli(
+        ["track", "--alpha", "0.01", "--input", str(tmp_path / "missing.csv")], capsys
+    )
+    assert (code, out) == (1, "")
+    assert "--alpha" in err
+    assert "missing.csv" not in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "track"])
 @pytest.mark.parametrize("days", ["0", "-3"])
 def test_max_gap_days_below_one_is_a_usage_error_before_input(command, days, tmp_path, capsys):
@@ -319,6 +329,18 @@ def test_analyze_reads_stdin(panel_path, capsys, monkeypatch):
     code, out, _ = run_cli(["analyze", "--format", "csv"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_files_and_stdin_are_read_alike(ending, tmp_path, monkeypatch):
+    # neither path translates newlines, so the parse sees the bytes as written
+    lines = ["date,entity,tenor,spread_bps", "2010-01-04,X,5Y,1.5", "2010-01-05,X,5Y,2.5"]
+    text = "".join(line + ending for line in lines)
+    path = tmp_path / "endings.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    assert _read_input(str(path)) == _read_input("-") == text
+    assert serialize_panel(parse_panel(text)) == "".join(line + "\n" for line in lines)
 
 
 def test_analyze_tenor_filter(panel_path, capsys):
@@ -376,6 +398,7 @@ def test_track_json_has_trends(panel_path, capsys):
     doc = json.loads(out)
     assert set(doc["trends"]["SYNTH"]["5Y"]) == {"chi2", "chebyshev", "kl"}
     assert doc["meta"]["parameters"]["window_length"] == 90
+    assert "alpha" not in doc["meta"]["parameters"]  # `analyze` alone echoes it
 
 
 def test_track_custom_geometry(panel_path, capsys):
@@ -553,6 +576,14 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     assert "usage" in err
 
 
+def test_only_the_package_runs_the_command(tmp_path):
+    # `benfordtrack.cli` is a library module: run as a script it does nothing
+    package = _cli(["--version"], tmp_path)
+    assert (package.returncode, package.stdout) == (0, b"0.1.0\n")
+    module = _cli(["--version"], tmp_path, program=("-m", "benfordtrack.cli"))
+    assert (module.returncode, module.stdout, module.stderr) == (0, b"", b"")
+
+
 # ---------------------------------------------------------- determinism
 
 def test_outputs_are_deterministic(tmp_path, capsys):
@@ -582,7 +613,8 @@ GOLDEN_TRACK = ["track", "--max-gap-days", "4", "--window-len", "30", "--step", 
 # json digests were re-recorded for the closed-form p-value and the
 # nine-term KL, which moved p_value and kl cells in their last bits, and
 # the track json digest again for the cancellation-free trend r_squared,
-# which moved 4 of its 6 r_squared values in their last bits.
+# which moved 4 of its 6 r_squared values in their last bits, and once more
+# when `track` stopped taking `--alpha`, which dropped its "alpha" meta line.
 GOLDEN_SHA256 = {
     ("analyze", "text"):
         "6bc27d8ae8f6c802166106d4826dfc631fbf3ce0cfc038621dfb2796966f60fd",
@@ -595,7 +627,7 @@ GOLDEN_SHA256 = {
     ("track", "csv"):
         "7a63f416488f117cbd6a317c5c4a1269d8c9ae9cf9cceeed2a19308d4402be3f",
     ("track", "json"):
-        "9a3db4f93c4e6278e236940788db69940e46f00f2ca1203644980dd1f0e05129",
+        "7d07774a13a89c21d8c499ec8f142d2f57e965cb632175c73643b2f4743bd4fb",
 }
 
 

@@ -295,7 +295,7 @@ def test_rows_copy_each_measurement_into_its_column():
     c = conformity([digit_histogram(s.slice(full.start, full.end).changes)], 0.1)
     assert row == ("AT", "5Y", "full", c.chi2[0], c.p_value[0], c.verdict[0],
                    c.n[0], c.small_sample[0])
-    rows = report_rows(build_track_report([s], WindowSpec(), alpha=0.1))
+    rows = report_rows(build_track_report([s], WindowSpec()))
     w = track(s, WindowSpec(), 0.1)
     ranges = window_ranges(len(s.changes), WindowSpec())
     assert rows == tuple(
