@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("digits", "DigitHistogram benford_pmf digit_histogram first_significant_digit"),
-        ("stats", "DEGREES_OF_FREEDOM SMALL_SAMPLE_MIN ConformityStats "
-                  "chi_square_pvalue conformity"),
+        ("digits", "DigitHistogram benford_pmf digit_histogram"),
+        ("stats", "SMALL_SAMPLE_MIN ConformityStats conformity"),
         ("panel", "ChangeSeries PanelFormatError SpreadSeries daily_changes "
                   "parse_panel serialize_panel"),
         ("windows", "PeriodSpec WindowSpec named_periods track window_ranges"),

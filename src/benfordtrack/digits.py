@@ -64,20 +64,6 @@ def mantissa_exponent(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
     return m, e
 
 
-def first_significant_digit(x: float) -> int | None:
-    """Leading nonzero decimal digit of |x|, or None for exact zero.
-
-    The integer part of the mantissa from mantissa_exponent, a rounded
-    quotient, so some short decimals lose a unit: 0.3 gives 2 and 0.7
-    gives 6, while 0.03 gives 3 and 0.07 gives 7.  Raises ValueError for
-    NaN or infinities.
-    """
-    if x == 0.0:
-        return None
-    m, _ = mantissa_exponent([x])
-    return int(m[0])
-
-
 @dataclass(frozen=True)
 class DigitHistogram:
     """Counts of first significant digits 1..9 plus the zero count.
@@ -108,7 +94,7 @@ def digit_histogram(values: Iterable[float]) -> DigitHistogram:
 
     Zeros are excluded (and counted) rather than binned; non-finite
     values raise ValueError.  Each digit is the integer part of the
-    mantissa from mantissa_exponent, as in first_significant_digit.
+    mantissa from mantissa_exponent, a rounded quotient: 0.3 counts as 2.
     """
     if not isinstance(values, np.ndarray):
         values = list(values)

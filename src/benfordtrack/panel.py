@@ -16,7 +16,7 @@ import os
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -178,7 +178,7 @@ def _parse_row(line_no: int, line: str) -> tuple[date, str, str, float]:
     return when, entity, tenor, spread
 
 
-def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
+def parse_panel(text: str) -> list[SpreadSeries]:
     """Parse panel CSV text into one SpreadSeries per (entity, tenor).
 
     Rows may arrive in any order; each series comes back date-sorted
@@ -195,7 +195,6 @@ def parse_panel(source: str | IO[str]) -> list[SpreadSeries]:
     worker thread, which Python 3.12 and later may warn about
     (DeprecationWarning, hidden by default).
     """
-    text = source if isinstance(source, str) else source.read()
     series = _parse_columns(text)
     return _parse_lines(text) if series is None else series
 
@@ -228,7 +227,7 @@ def _parse_lines(text: str) -> list[SpreadSeries]:
 
 
 # Line breaks of str.splitlines other than "\n"; the columnar parser turns
-# CRLF into "\n" and sends text holding any other break to the line parser.
+# CRLF and lone CR into "\n" and sends text holding any other to the line parser.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _NOT_IN_LABELS = ",\n" + _OTHER_BREAKS
 
@@ -261,19 +260,22 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     Works on chunks of whole lines: one `split` per chunk, dates parsed
     once per distinct string, spreads by `float` and each row numbered
     by its (entity, tenor) series in first-seen order, then one sort
-    orders the rows.  Returns None, leaving the text to the line parser,
+    orders the rows.  CRLF and lone CR read as "\\n", and trailing blank
+    lines hold no row.  Returns None, leaving the text to the line parser,
     whenever it holds anything that parser treats specially or rejects:
-    another line break than "\\n" or "\\r\\n", a blank, comment or padded
+    another line break, an interior blank line, a comment or padded
     line, a line without exactly four fields, an invalid date or spread,
     or a series that `SpreadSeries` rejects: an empty label, a spread not
     positive and finite, or a duplicate row (next to its twin once sorted).
     """
-    if "\r" in text and text.count("\r") == text.count("\r\n"):
-        text = text.replace("\r\n", "\n")  # every "\r" ends a CRLF line
+    if "\r" in text:  # line breaks as str.splitlines reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.startswith(PANEL_HEADER + "\n") or any(mark in text for mark in _OTHER_BREAKS):
         return None
     series_ids = _Ids()
-    start, stop = len(PANEL_HEADER) + 1, len(text) - text.endswith("\n")
+    start, stop = len(PANEL_HEADER) + 1, len(text)
+    while text.endswith("\n", 0, stop):
+        stop -= 1  # trailing blank lines hold no row
     spans, rows = [], 0  # (start, end, first row, end row) of each chunk of whole lines
     while start < stop:
         end = stop if stop - start <= _CHUNK else text.rfind("\n", start, start + _CHUNK)

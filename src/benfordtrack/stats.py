@@ -20,8 +20,6 @@ import numpy as np
 
 from .digits import DigitHistogram, benford_pmf
 
-DEGREES_OF_FREEDOM = 8
-
 # The reference law and its libm natural log, read-only; conformity uses
 # them on every call (the last bit of `np.log` depends on numpy's CPU kernel).
 _REF = benford_pmf()
@@ -69,17 +67,6 @@ def _chi_square_tail(stat) -> np.ndarray:
     s = np.minimum(stat, 8000.0)
     half = np.vectorize(math.exp, otypes=[float])(-0.25 * s)
     return np.minimum(half * (1.0 + s * (0.5 + s * (0.125 + s / 48.0))) * half, 1.0)
-
-
-def chi_square_pvalue(stat: float) -> float:
-    """Upper-tail probability of a chi-square variable with 8 degrees.
-
-    Validates `stat` (finite and nonnegative) and evaluates the closed
-    form that `conformity` applies to its whole chi-square column.
-    """
-    if not math.isfinite(stat) or stat < 0.0:
-        raise ValueError("statistic must be finite and nonnegative")
-    return float(_chi_square_tail(np.float64(stat)))
 
 
 def conformity(histograms: Sequence[DigitHistogram], alpha: float = 0.05) -> ConformityStats:

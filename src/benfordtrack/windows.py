@@ -85,11 +85,7 @@ def window_ranges(n: int, spec: WindowSpec) -> list[range]:
     return ranges
 
 
-def track(
-    series: ChangeSeries,
-    spec: WindowSpec = WindowSpec(),
-    alpha: float = 0.05,
-) -> ConformityStats:
+def track(series: ChangeSeries, spec: WindowSpec = WindowSpec()) -> ConformityStats:
     """Conformity of the rolling windows: one table row per window, in order.
 
     The windows are `window_ranges(len(series.changes), spec)`, and one
@@ -98,6 +94,4 @@ def track(
     no digits to test and raises the empty-sample error.
     """
     ranges = window_ranges(len(series.changes), spec)
-    return conformity(
-        [digit_histogram(series.changes[r.start : r.stop]) for r in ranges], alpha
-    )
+    return conformity([digit_histogram(series.changes[r.start : r.stop]) for r in ranges])

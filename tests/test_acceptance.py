@@ -16,7 +16,6 @@ from benfordtrack import (
     SynthSpec,
     WindowSpec,
     benford_pmf,
-    chi_square_pvalue,
     conformity,
     digit_histogram,
     fit_trend,
@@ -24,6 +23,7 @@ from benfordtrack import (
     track,
     window_ranges,
 )
+from benfordtrack.stats import _chi_square_tail
 from benfordtrack.synthetic import inject_manipulation
 from helpers import (
     cli_env,
@@ -57,16 +57,16 @@ def test_criterion_1_benford_pmf_golden_values():
 
 def test_criterion_2_critical_value_pin_and_monotone_pvalue():
     t0 = time.perf_counter()
-    at_critical = chi_square_pvalue(15.507)
+    at_critical, at_zero_p = _chi_square_tail(np.array([15.507, 0.0])).tolist()
     pinned = 0.0495 <= at_critical <= 0.0505
-    at_zero = chi_square_pvalue(0.0) == 1.0
-    grid = [chi_square_pvalue(k * 0.1) for k in range(1001)]
+    at_zero = at_zero_p == 1.0
+    grid = _chi_square_tail(np.arange(1001) * 0.1).tolist()
     monotone = all(a >= b for a, b in zip(grid, grid[1:]))
     elapsed = time.perf_counter() - t0
     ok = pinned and at_zero and monotone and elapsed < 1.0
     _verdict(
         2, ok,
-        f"p(15.507)={at_critical:.6f}, p(0)={chi_square_pvalue(0.0)}, "
+        f"p(15.507)={at_critical:.6f}, p(0)={at_zero_p}, "
         f"monotone={monotone}",
         elapsed,
     )

@@ -15,9 +15,8 @@ import benfordtrack.cli
 from helpers import cli_env
 
 EXPORTED = {
-    "DigitHistogram", "benford_pmf", "digit_histogram", "first_significant_digit",
-    "DEGREES_OF_FREEDOM", "SMALL_SAMPLE_MIN", "ConformityStats",
-    "chi_square_pvalue", "conformity",
+    "DigitHistogram", "benford_pmf", "digit_histogram",
+    "SMALL_SAMPLE_MIN", "ConformityStats", "conformity",
     "ChangeSeries", "PanelFormatError", "SpreadSeries", "daily_changes",
     "parse_panel", "serialize_panel",
     "PeriodSpec", "WindowSpec", "named_periods", "track", "window_ranges",
@@ -39,7 +38,7 @@ PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 30
+    assert len(EXPORTED) == 27
     assert sorted(benfordtrack.__all__) == sorted(EXPORTED)
     for name in EXPORTED:
         assert getattr(benfordtrack, name) is not None

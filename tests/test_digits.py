@@ -13,7 +13,6 @@ from benfordtrack import (
     SynthSpec,
     benford_pmf,
     digit_histogram,
-    first_significant_digit,
     generate,
 )
 from benfordtrack.digits import mantissa_exponent
@@ -61,6 +60,11 @@ def test_pmf_returns_fresh_array():
 
 # ------------------------------------------------- digit extraction
 
+def first_digit(x: float) -> int:
+    """The digit rule for one nonzero value: its mantissa's integer part."""
+    return int(mantissa_exponent([x])[0][0])
+
+
 @pytest.mark.parametrize(
     "x,digit",
     [
@@ -88,18 +92,18 @@ def test_pmf_returns_fresh_array():
     ],
 )
 def test_first_digit_examples(x, digit):
-    assert first_significant_digit(x) == digit
+    assert first_digit(x) == digit
 
 
 def test_zero_has_no_digit():
-    assert first_significant_digit(0.0) is None
-    assert first_significant_digit(-0.0) is None
+    h = digit_histogram([0.0, -0.0])
+    assert (h.counts, h.excluded) == ((0,) * 9, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_rejected(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        first_significant_digit(bad)
+        first_digit(bad)
 
 
 def test_mantissa_exponent_round_trip():
@@ -140,10 +144,10 @@ def test_mantissa_exponent_equals_the_scalar_rule_on_every_probe():
 def test_subnormal_values_have_digits():
     # 10**floor(log10(x)) underflows to zero down here; the smallest
     # positive float prints as 5e-324 but its exact value leads with 4
-    assert first_significant_digit(5e-324) == 4
+    assert first_digit(5e-324) == 4
     m, e = mantissa_exponent([5e-324])
     assert (m.tolist(), e.tolist()) == ([4.94065645841], [-324])
-    assert first_significant_digit(-1.5e-323) == 1
+    assert first_digit(-1.5e-323) == 1
     assert digit_histogram([5e-324]).counts == (0, 0, 0, 1, 0, 0, 0, 0, 0)
 
 
@@ -157,7 +161,7 @@ def test_scale_and_sign_invariance(m, k, sign):
     # multiplication below cannot cross one
     assume(min(abs(m - d) for d in range(1, 11)) > 1e-6)
     x = sign * m * 10.0 ** k
-    assert first_significant_digit(x) == int(m)
+    assert first_digit(x) == int(m)
 
 
 # ---------------------------------------------------------- histogram

@@ -1,6 +1,5 @@
 """Panel CSV parsing, serialization, daily changes and slicing."""
 
-import io
 import math
 import mmap
 import os
@@ -58,10 +57,6 @@ def test_parse_groups_and_sorts():
 def _rows(series):
     """Every field of a series list, so results compare by value."""
     return [(s.entity, s.tenor, s.dates.tolist(), s.spreads.tolist()) for s in series]
-
-
-def test_parse_accepts_file_like_sources():
-    assert _rows(parse_panel(io.StringIO(GOOD))) == _rows(parse_panel(GOOD))
 
 
 def test_parse_skips_blank_and_comment_lines():
@@ -434,9 +429,11 @@ def test_well_formed_panels_never_reach_the_line_parser(monkeypatch):
         raise AssertionError("line parser called on well-formed input")
 
     monkeypatch.setattr(panel, "_parse_lines", refuse)
-    assert _rows(parse_panel(text)) == expected
     assert _rows(parse_panel(text.rstrip("\n"))) == expected
-    assert _rows(parse_panel(text.replace("\n", "\r\n"))) == expected
+    for ending in ("\n", "\r\n", "\r"):  # each also with trailing blank lines
+        assert _rows(parse_panel(text.replace("\n", ending))) == expected
+        assert _rows(parse_panel((text + "\n\n").replace("\n", ending))) == expected
+    assert parse_panel(header + "\n\n\n") == []
 
 
 def test_columnar_parse_spans_chunks(monkeypatch):
@@ -587,6 +584,12 @@ def _crlf_variant(kind: str) -> str:
         body[3] += "\r" + body.pop(4)
     elif kind == "crlf_header":
         return header + "\r\n" + "\n".join(body) + "\n"
+    elif kind == "trailing_lf":
+        return "\n".join([header, *body]) + "\n\n"
+    elif kind == "trailing_crlf":
+        body[-1] += "\r\n"
+    elif kind == "header_blanks":
+        return header + "\n\n\n"
     elif kind == "cr_then_bad_row":  # the error line counts the extra break
         body[2] += "\r"
         body[5] = body[5].replace(",", ";", 1)
@@ -596,14 +599,16 @@ def _crlf_variant(kind: str) -> str:
 @pytest.mark.parametrize(
     "kind,outcome",
     [("crlf", "columnar"), ("mixed", "columnar"), ("crlf_header", "columnar"),
-     ("cr_crlf", "lines"), ("lone_cr", "lines"), ("cr_then_bad_row", 8)],
+     ("cr_crlf", "lines"), ("lone_cr", "columnar"), ("trailing_lf", "columnar"),
+     ("trailing_crlf", "columnar"), ("header_blanks", "columnar"), ("cr_then_bad_row", 8)],
 )
 def test_columnar_parser_reads_crlf_endings_like_the_line_parser(kind, outcome):
     reference, columnar = _compare_parsers(_crlf_variant(kind))
     if isinstance(outcome, int):  # the error line, with "\r\r\n" as two breaks
         assert reference[0] == outcome and not columnar
     else:
-        assert isinstance(reference, list) and len(reference) == 4
+        assert isinstance(reference, list)
+        assert len(reference) == (0 if kind == "header_blanks" else 4)
         assert columnar is (outcome == "columnar")
 
 

@@ -296,7 +296,7 @@ def test_rows_copy_each_measurement_into_its_column():
     assert row == ("AT", "5Y", "full", c.chi2[0], c.p_value[0], c.verdict[0],
                    c.n[0], c.small_sample[0])
     rows = report_rows(build_track_report([s], WindowSpec()))
-    w = track(s, WindowSpec(), 0.1)
+    w = track(s, WindowSpec())
     ranges = window_ranges(len(s.changes), WindowSpec())
     assert rows == tuple(
         ("AT", "5Y", index, s.dates[r.start].item().isoformat(),
