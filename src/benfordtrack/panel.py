@@ -94,22 +94,10 @@ class SpreadSeries:
         return series
 
     def _store(self, entity: str, tenor: str, dates: np.ndarray, spreads: np.ndarray) -> None:
-        for name, label in (("entity", entity), ("tenor", tenor)):
-            if not label or any(mark in label for mark in _NOT_IN_LABELS):
-                raise ValueError(f"{name} {label!r} is empty or holds a comma or line break")
-        if dates.ndim != 1 or dates.shape != spreads.shape:
-            raise ValueError("dates and spreads must be 1-D columns of equal length")
-        if not (np.diff(dates) > np.timedelta64(0, "D")).all():
-            raise ValueError("observation dates must be strictly increasing")
-        if len(dates) and not (_FIRST_DAY <= dates[0] and dates[-1] <= _LAST_DAY):
-            raise ValueError("observation dates must lie within years 1 to 9999")
-        if not ((spreads > 0.0) & (spreads < np.inf)).all():
-            raise ValueError("spreads must be positive and finite")
+        _check_series([(entity, tenor)], dates, spreads, [0, dates.size])
         for column in (dates, spreads):
             column.flags.writeable = False
-        for name, value in zip(("entity", "tenor", "dates", "spreads"),
-                               (entity, tenor, dates, spreads)):
-            object.__setattr__(self, name, value)
+        vars(self).update(entity=entity, tenor=tenor, dates=dates, spreads=spreads)
 
     @property
     def observations(self) -> tuple[tuple[date, float], ...]:
@@ -145,11 +133,30 @@ class ChangeSeries:
         """
         if start > end:
             raise ValueError("slice start must not be after its end")
-        lo = np.searchsorted(self.dates, np.datetime64(start, "D"), side="left")
-        hi = np.searchsorted(self.dates, np.datetime64(end, "D"), side="right")
+        lo = self.dates.searchsorted(np.datetime64(start, "D"), side="left")
+        hi = self.dates.searchsorted(np.datetime64(end, "D"), side="right")
         return ChangeSeries(
             self.entity, self.tenor, self.dates[lo:hi], self.changes[lo:hi], self.dropped
         )
+
+
+def _check_series(labels: list, dates: np.ndarray, spreads: np.ndarray, bounds) -> None:
+    """Raise ValueError unless each series laid end to end in the columns keeps the
+    `SpreadSeries` rules; series i is `labels[i]` on rows `bounds[i]` to `bounds[i + 1]`."""
+    for name, names in zip(("entity", "tenor"), zip(*labels)):
+        for label in dict.fromkeys(names):  # each distinct label once
+            if not label or any(mark in label for mark in _NOT_IN_LABELS):
+                raise ValueError(f"{name} {label!r} is empty or holds a comma or line break")
+    if dates.ndim != 1 or dates.shape != spreads.shape:
+        raise ValueError("dates and spreads must be 1-D columns of equal length")
+    increasing = dates[1:] > dates[:-1]  # np.diff would build a timedelta column
+    increasing[np.asarray(bounds[1:-1], np.intp) - 1] = True  # where one series ends
+    if not increasing.all():
+        raise ValueError("observation dates must be strictly increasing")
+    if len(dates) and not (_FIRST_DAY <= dates.min() and dates.max() <= _LAST_DAY):
+        raise ValueError("observation dates must lie within years 1 to 9999")
+    if not ((spreads > 0.0) & (spreads < np.inf)).all():
+        raise ValueError("spreads must be positive and finite")
 
 
 def _parse_row(line_no: int, line: str) -> tuple[date, str, str, float]:
@@ -260,13 +267,14 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     Works on chunks of whole lines: one `split` per chunk, dates parsed
     once per distinct string, spreads by `float` and each row numbered
     by its (entity, tenor) series in first-seen order, then one sort
-    orders the rows.  CRLF and lone CR read as "\\n", and trailing blank
-    lines hold no row.  Returns None, leaving the text to the line parser,
-    whenever it holds anything that parser treats specially or rejects:
-    another line break, an interior blank line, a comment or padded
-    line, a line without exactly four fields, an invalid date or spread,
-    or a series that `SpreadSeries` rejects: an empty label, a spread not
-    positive and finite, or a duplicate row (next to its twin once sorted).
+    orders the rows and one `_check_series` call checks them all.  CRLF
+    and lone CR read as "\\n", and trailing blank lines hold no row.
+    Returns None, leaving the text to the line parser, whenever it holds
+    anything that parser treats specially or rejects: another line
+    break, an interior blank line, a comment or padded line, a line
+    without exactly four fields, an invalid date or spread, or a series
+    that `SpreadSeries` rejects: an empty label, a spread not positive and
+    finite, or a duplicate row (next to its twin once sorted).
     """
     if "\r" in text:  # line breaks as str.splitlines reads them
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -309,12 +317,14 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     dates = days.view("datetime64[D]")
     bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
     names = list(series_ids)  # in id order
-    series = [SpreadSeries.__new__(SpreadSeries) for _ in bounds[1:]]
+    labels = [names[key] for key in keys[bounds[:-1]].tolist()]
     try:
-        for s, lo, hi in zip(series, bounds, bounds[1:]):
-            s._store(*names[keys[lo]], dates[lo:hi], spreads[lo:hi])
+        _check_series(labels, dates, spreads, bounds)
     except ValueError:
         return None
+    series = [SpreadSeries.__new__(SpreadSeries) for _ in labels]
+    for s, (entity, tenor), lo, hi in zip(series, labels, bounds, bounds[1:]):
+        vars(s).update(entity=entity, tenor=tenor, dates=dates[lo:hi], spreads=spreads[lo:hi])
     return sorted(series, key=lambda s: (s.entity, s.tenor))  # the order of `_parse_lines`
 
 

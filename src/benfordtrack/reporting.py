@@ -2,10 +2,10 @@
 
 A report is one table held as columns: a dict from each column name of
 `PERIOD_COLUMNS` or `TRACK_COLUMNS`, in that order, to its list of
-Python scalars.  The builders measure each series in one conformity
-call, whose `ConformityStats` columns carry the names of the report
-columns they fill, and extend the report columns with them.  One
-generic renderer per format turns each column into cells by value type:
+Python scalars.  The builders measure the panel's period cells, or a
+series' windows, in one conformity call, whose `ConformityStats` columns
+carry the names of the report columns they fill.  One generic renderer
+per format turns each column into cells by value type:
 the text table shows floats with four decimals, `-` for a missing value
 and Roman window labels; CSV carries floats at full precision via repr
 and leaves a missing value empty; JSON writes each cell as json.dumps
@@ -144,22 +144,22 @@ def build_period_report(
     A cell that cannot be measured (an empty slice, or one holding only
     zero changes) becomes an annotated row instead of an error: its
     measurements are missing and its error message is its verdict.  The
-    measurable cells of a series are measured in one conformity call.
+    measurable cells of all series are measured in one conformity call.
     """
-    columns = {name: [] for name in PERIOD_COLUMNS}
-    for s in _by_key(series):
-        cells = [_period_cell(s, period) for period in periods]
-        stats = conformity([h for h in cells if not isinstance(h, str)], alpha)
-        columns["entity"] += [s.entity] * len(cells)
-        columns["tenor"] += [s.tenor] * len(cells)
-        columns["period"] += [period.label for period in periods]
-        for name in PERIOD_COLUMNS[3:]:
-            measured = iter(getattr(stats, name))
-            columns[name] += [
-                (cell if name == "verdict" else None) if isinstance(cell, str)
-                else next(measured)
-                for cell in cells
-            ]
+    rows = [(s, period) for s in _by_key(series) for period in periods]
+    cells = [_period_cell(s, period) for s, period in rows]
+    stats = conformity([h for h in cells if not isinstance(h, str)], alpha)
+    columns = {
+        "entity": [s.entity for s, _ in rows],
+        "tenor": [s.tenor for s, _ in rows],
+        "period": [period.label for _, period in rows],
+    }
+    for name in PERIOD_COLUMNS[3:]:
+        measured = iter(getattr(stats, name))
+        columns[name] = [
+            (cell if name == "verdict" else None) if isinstance(cell, str) else next(measured)
+            for cell in cells
+        ]
     return Report(columns, dict(meta or {}))
 
 
@@ -176,21 +176,21 @@ def build_track_report(
     single window contributes rows but no trends.
     """
     columns = {name: [] for name in TRACK_COLUMNS}
-    trends = []
+    trends, edges = [], [np.empty((2, 0), "datetime64[D]")]
     for s in _by_key(series):
         stats = track(s, spec)
         bounds = [(r.start, r.stop - 1) for r in window_ranges(len(s.changes), spec)]
-        starts, ends = np.datetime_as_string(s.dates[np.array(bounds).T]).tolist()
+        edges.append(s.dates[np.array(bounds).T])  # first and last date of each window
         columns["entity"] += [s.entity] * len(bounds)
         columns["tenor"] += [s.tenor] * len(bounds)
         columns["window"] += range(1, len(bounds) + 1)
-        columns["start_date"] += starts
-        columns["end_date"] += ends
         for name in TRACK_COLUMNS[5:]:
             columns[name] += getattr(stats, name)
         if len(stats) >= 2:
             for metric in TREND_METRICS:
                 trends.append((s.entity, s.tenor, fit_trend(stats, metric)))
+    dates = np.datetime_as_string(np.concatenate(edges, axis=1)).tolist()
+    columns["start_date"], columns["end_date"] = dates
     return Report(columns, dict(meta or {}), tuple(trends))
 
 
@@ -204,8 +204,19 @@ _TEXT_CELL = {**_CSV_CELL, type(None): lambda v: "-", float: "{:.4f}".format}
 
 
 def _cells(values: Sequence, formats: Mapping, fallback=str) -> list[str]:
-    """The cells of one column, each value formatted by its type."""
-    return [formats.get(type(v), fallback)(v) for v in values]
+    """The cells of one column, each value formatted by its type: by one
+    formatter for a column of one type, once per distinct value of a str column."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return [formats.get(type(v), fallback)(v) for v in values]
+    (kind,) = kinds
+    format_cell = formats.get(kind, fallback)
+    if kind is str:
+        texts = {v: format_cell(v) for v in set(values)}
+        return list(map(texts.__getitem__, values))
+    if format_cell is _json_float and math.isfinite(sum(values)):
+        format_cell = float.__repr__  # else _json_float raises at the first NaN or infinity
+    return list(map(format_cell, values))
 
 
 def _render_text(columns: Mapping[str, list]) -> str:

@@ -386,6 +386,77 @@ def test_labels_must_be_writable_as_panel_csv(field):
             SpreadSeries.from_columns(labels["entity"], labels["tenor"], day, [1.0])
 
 
+# days since 1970-01-01 of year 1's first and year 9999's last day
+_DAY_RANGE = (np.datetime64("0001-01-01", "D").astype(int),
+              np.datetime64("9999-12-31", "D").astype(int))
+
+
+def _breaks_a_rule(entity, tenor, days, spreads):
+    """The `SpreadSeries` rules, one series at a time in plain Python."""
+    bad_label = any(not label or any(mark in label for mark in ",\n" + "".join(_BREAKS))
+                    for label in (entity, tenor))
+    return (bad_label or any(b <= a for a, b in zip(days, days[1:]))
+            or any(not _DAY_RANGE[0] <= d <= _DAY_RANGE[1] for d in days)
+            or not all(0.0 < x < math.inf for x in spreads))
+
+
+@st.composite
+def _end_to_end_series(draw):
+    """1-5 series whose dates often start at or before the previous series'
+    last date; about half break one rule: a repeated or decreasing date, a
+    bad label, a nonpositive or NaN spread, or a date outside years 1 to 9999."""
+    series = []
+    for k in range(draw(st.integers(1, 5))):
+        first = draw(st.sampled_from([14600, 14602, 14605]))
+        days = np.cumsum([first, *draw(st.lists(st.integers(1, 3), max_size=5))]).tolist()
+        spreads = draw(st.lists(st.floats(1.0, 500.0), min_size=len(days), max_size=len(days)))
+        entity, i = "E", draw(st.integers(0, len(days) - 1))
+        defect = draw(st.sampled_from(["", "", "", "", "date", "label", "spread", "range"]))
+        if defect == "date" and i:
+            days[i] = days[i - 1] - draw(st.integers(0, 1))
+        if defect == "label":
+            entity = draw(st.sampled_from(["", "A,B", "A\rB"]))
+        if defect == "spread":
+            spreads[i] = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+        if defect == "range":
+            past = draw(st.sampled_from([_DAY_RANGE[1] + 1, _DAY_RANGE[0] - 1]))
+            days = [d + past - days[i] for d in days]  # day i falls outside the range
+        series.append((entity, f"T{k}", days, spreads))
+    return series
+
+
+@settings(max_examples=400)
+@given(series=_end_to_end_series())
+def test_one_check_over_a_panel_raises_exactly_when_a_series_alone_does(series):
+    alone = []
+    for entity, tenor, days, spreads in series:
+        try:
+            SpreadSeries.from_columns(entity, tenor, np.array(days, "datetime64[D]"), spreads)
+            alone.append(False)
+        except ValueError:
+            alone.append(True)
+    assert alone == [_breaks_a_rule(*s) for s in series]
+    bounds = np.cumsum([0, *(len(days) for _, _, days, _ in series)]).tolist()
+    dates = np.concatenate([np.array(days, "datetime64[D]") for _, _, days, _ in series])
+    spreads = np.concatenate([spreads for *_, spreads in series]).astype(np.float64)
+    try:
+        panel._check_series([s[:2] for s in series], dates, spreads, bounds)
+        together = False
+    except ValueError:
+        together = True
+    assert together == any(alone)
+
+
+def test_a_series_may_start_before_the_previous_one_ends():
+    dates = np.array(["2010-01-04", "2010-01-05", "2010-01-05", "2010-01-06", "2009-12-31",
+                      "2010-01-01"], "datetime64[D]")
+    labels = [("A", "5Y"), ("B", "5Y"), ("C", "5Y")]
+    panel._check_series(labels, dates, np.ones(6), [0, 2, 4, 6])
+    for bounds in ([0, 3, 4, 6], [0, 2, 5, 6]):  # a series holding a repeat or a drop
+        with pytest.raises(ValueError, match="strictly increasing"):
+            panel._check_series(labels, dates, np.ones(6), bounds)
+
+
 _LABEL = st.text(st.characters(exclude_characters=",\n" + "".join(_BREAKS)), min_size=1)
 
 
