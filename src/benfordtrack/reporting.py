@@ -176,21 +176,21 @@ def build_track_report(
     single window contributes rows but no trends.
     """
     columns = {name: [] for name in TRACK_COLUMNS}
-    trends, edges = [], [np.empty((2, 0), "datetime64[D]")]
+    trends = []
     for s in _by_key(series):
         stats = track(s, spec)
         bounds = [(r.start, r.stop - 1) for r in window_ranges(len(s.changes), spec)]
-        edges.append(s.dates[np.array(bounds).T])  # first and last date of each window
+        starts, ends = np.datetime_as_string(s.dates[np.array(bounds).T]).tolist()
         columns["entity"] += [s.entity] * len(bounds)
         columns["tenor"] += [s.tenor] * len(bounds)
         columns["window"] += range(1, len(bounds) + 1)
+        columns["start_date"] += starts
+        columns["end_date"] += ends
         for name in TRACK_COLUMNS[5:]:
             columns[name] += getattr(stats, name)
         if len(stats) >= 2:
             for metric in TREND_METRICS:
                 trends.append((s.entity, s.tenor, fit_trend(stats, metric)))
-    dates = np.datetime_as_string(np.concatenate(edges, axis=1)).tolist()
-    columns["start_date"], columns["end_date"] = dates
     return Report(columns, dict(meta or {}), tuple(trends))
 
 
@@ -204,19 +204,8 @@ _TEXT_CELL = {**_CSV_CELL, type(None): lambda v: "-", float: "{:.4f}".format}
 
 
 def _cells(values: Sequence, formats: Mapping, fallback=str) -> list[str]:
-    """The cells of one column, each value formatted by its type: by one
-    formatter for a column of one type, once per distinct value of a str column."""
-    kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return [formats.get(type(v), fallback)(v) for v in values]
-    (kind,) = kinds
-    format_cell = formats.get(kind, fallback)
-    if kind is str:
-        texts = {v: format_cell(v) for v in set(values)}
-        return list(map(texts.__getitem__, values))
-    if format_cell is _json_float and math.isfinite(sum(values)):
-        format_cell = float.__repr__  # else _json_float raises at the first NaN or infinity
-    return list(map(format_cell, values))
+    """The cells of one column, each value formatted by its type."""
+    return [formats.get(type(v), fallback)(v) for v in values]
 
 
 def _render_text(columns: Mapping[str, list]) -> str:

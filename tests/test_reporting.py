@@ -7,8 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from benfordtrack import (
     SMALL_SAMPLE_MIN,
@@ -476,55 +474,6 @@ def test_json_cells_equal_the_dict_document(trends):
 def test_json_refuses_a_non_finite_cell(cell):
     with pytest.raises(ValueError):
         emit(_awkward_report([("x", cell, 1, True, None, "x")]), "json")
-
-
-_FORMATS = {  # each renderer's cell formats and its fallback for other types
-    "text": (reporting._TEXT_CELL, str),
-    "window": ({int: roman}, str),
-    "csv": (reporting._CSV_CELL, str),
-    "json": (reporting._JSON_CELL, reporting._not_json),
-}
-_SCALARS = {
-    "float": st.floats(),
-    "int": st.integers(-(2**70), 2**70),
-    "bool": st.booleans(),
-    "str": st.sampled_from(["accept", "reject", "5Y", "2010-01-04", *_AWKWARD_LABELS]),
-    "none": st.none(),
-}
-
-
-def _outcome(make):
-    try:
-        return make()
-    except (ValueError, TypeError) as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=300)
-@given(
-    fmt=st.sampled_from(sorted(_FORMATS)),
-    values=st.one_of(
-        *(st.lists(kind, max_size=12) for kind in _SCALARS.values()),
-        st.lists(st.one_of(*_SCALARS.values()), max_size=12),
-        st.lists(st.one_of(st.floats(), st.none()), max_size=12),
-    ),
-)
-@example(fmt="json", values=[1.5, math.nan])
-@example(fmt="json", values=[-math.inf, 2.0])
-def test_column_cells_equal_the_per_value_formatting(fmt, values):
-    formats, fallback = _FORMATS[fmt]
-    if fmt == "window":  # window labels are 1-based indices
-        values = [v for v in values if type(v) is not int or 1 <= v <= 3999]
-    reference = _outcome(lambda: [formats.get(type(v), fallback)(v) for v in values])
-    assert _outcome(lambda: reporting._cells(values, formats, fallback)) == reference
-
-
-@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
-def test_a_json_float_column_refuses_a_non_finite_cell(cell):
-    for values in ([cell], [1.0, cell, 2.0], [1e308, 1e308, cell]):
-        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
-            reporting._cells(values, reporting._JSON_CELL)
-    assert reporting._cells([1e308, 1e308], reporting._JSON_CELL) == ["1e+308", "1e+308"]
 
 
 def test_json_refuses_a_numpy_cell():
