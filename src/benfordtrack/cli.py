@@ -54,14 +54,6 @@ def _add_change_flags(sub: argparse.ArgumentParser) -> None:
         "--max-gap-days", type=int, default=None, metavar="DAYS",
         help="drop change pairs further apart than this (default unlimited)",
     )
-    sub.add_argument(
-        "--from", dest="date_from", type=iso_date, default=None,
-        metavar="DATE", help="custom range start (YYYY-MM-DD)",
-    )
-    sub.add_argument(
-        "--to", dest="date_to", type=iso_date, default=None,
-        metavar="DATE", help="custom range end (YYYY-MM-DD)",
-    )
 
 
 def _build_parser() -> _Parser:
@@ -79,12 +71,20 @@ def _build_parser() -> _Parser:
     )
     _add_io_flags(analyze)
     _add_change_flags(analyze)
+    analyze.add_argument(
+        "--from", dest="date_from", type=iso_date, default=None,
+        metavar="DATE", help="custom range start (YYYY-MM-DD)",
+    )
+    analyze.add_argument(
+        "--to", dest="date_to", type=iso_date, default=None,
+        metavar="DATE", help="custom range end (YYYY-MM-DD)",
+    )
     analyze.add_argument("--alpha", type=float, default=0.05, help="significance level")
     analyze.add_argument(
         "--period", action="append", choices=_PERIOD_LABELS, default=None,
         help="named period to test (repeatable; default all five)",
     )
-    analyze.set_defaults(handler=_run_report, prepare=_prepare_analyze)
+    analyze.set_defaults(handler=_cmd_analyze)
 
     track_cmd = subs.add_parser(
         "track",
@@ -99,11 +99,7 @@ def _build_parser() -> _Parser:
     track_cmd.add_argument(
         "--step", type=int, default=45, help="observations between window starts"
     )
-    track_cmd.add_argument(
-        "--min-fill", type=float, default=0.5,
-        help="minimum trailing window fill as a fraction of --window-len",
-    )
-    track_cmd.set_defaults(handler=_run_report, prepare=_prepare_track)
+    track_cmd.set_defaults(handler=_cmd_track)
 
     synth = subs.add_parser(
         "synth",
@@ -124,10 +120,6 @@ def _build_parser() -> _Parser:
     synth.add_argument(
         "--start-date", type=iso_date, default=date(2008, 8, 8),
         metavar="DATE", help="first observation date, YYYY-MM-DD (weekdays from here)",
-    )
-    synth.add_argument(
-        "--base-spread", type=float, default=100.0,
-        help="spread level the changes accumulate on",
     )
     synth.add_argument(
         "--manip-fraction", type=float, default=None, metavar="FRACTION",
@@ -178,20 +170,15 @@ def _load_changes(args):
     ]
 
 
-def _run_report(parser: _Parser, args):
-    """Shared path of `analyze` and `track`: validate, return the report's emitter.
+def _run_report(parser: _Parser, args, parameters, build):
+    """Shared tail of `analyze` and `track`: return the report's emitter.
 
-    Checks the flags both commands share; `args.prepare` checks the
-    command's own, `analyze`'s `--alpha` among them, and returns its meta
-    parameters and a function that builds the report from the changes.
+    Checks the flags both commands share and builds the meta document
+    from them and the command's own `parameters`; `build` makes the
+    report from the changes and that meta.
     """
     if args.max_gap_days is not None and args.max_gap_days < 1:
         parser.error("--max-gap-days must be at least 1")
-    if (args.date_from is None) != (args.date_to is None):
-        parser.error("--from and --to must be given together")
-    if args.date_from is not None and args.date_from > args.date_to:
-        parser.error("--from must not be after --to")
-    parameters, build = args.prepare(parser, args)
     meta = {
         "tool": "benfordtrack",
         "version": __version__,
@@ -199,19 +186,23 @@ def _run_report(parser: _Parser, args):
         "parameters": {
             "change_mode": args.change_mode,
             "max_gap_days": args.max_gap_days,
-            "tenor": sorted(args.tenor) if args.tenor else None,
+            "tenor": sorted(set(args.tenor)) if args.tenor else None,
             **parameters,
         },
     }
     return lambda: emit(build(_load_changes(args), meta), args.format)
 
 
-def _prepare_analyze(parser: _Parser, args):
+def _cmd_analyze(parser: _Parser, args):
     if not 0.0 < args.alpha < 1.0:
         parser.error("alpha must lie in (0, 1)")
-    if args.period and args.date_from is not None:
-        parser.error("--period cannot be combined with --from/--to")
+    if (args.date_from is None) != (args.date_to is None):
+        parser.error("--from and --to must be given together")
     if args.date_from is not None:
+        if args.date_from > args.date_to:
+            parser.error("--from must not be after --to")
+        if args.period:
+            parser.error("--period cannot be combined with --from/--to")
         periods = [PeriodSpec("custom", args.date_from, args.date_to)]
     else:
         wanted = args.period or list(_PERIOD_LABELS)
@@ -220,30 +211,22 @@ def _prepare_analyze(parser: _Parser, args):
         "alpha": args.alpha,
         "periods": {p.label: [p.start.isoformat(), p.end.isoformat()] for p in periods},
     }
-    return parameters, lambda changes, meta: build_period_report(
-        changes, periods, args.alpha, meta=meta
+    return _run_report(
+        parser, args, parameters,
+        lambda changes, meta: build_period_report(changes, periods, args.alpha, meta=meta),
     )
 
 
-def _prepare_track(parser: _Parser, args):
+def _cmd_track(parser: _Parser, args):
     try:
-        spec = WindowSpec(args.window_len, args.step, args.min_fill)
+        spec = WindowSpec(args.window_len, args.step)
     except ValueError as exc:
         parser.error(str(exc))
-    parameters = {
-        "window_length": spec.length,
-        "step": spec.step,
-        "min_fill": spec.min_fill,
-        "from": args.date_from.isoformat() if args.date_from else None,
-        "to": args.date_to.isoformat() if args.date_to else None,
-    }
-
-    def build(changes, meta):
-        if args.date_from is not None:
-            changes = [s.slice(args.date_from, args.date_to) for s in changes]
-        return build_track_report(changes, spec, meta=meta)
-
-    return parameters, build
+    parameters = {"window_length": spec.length, "step": spec.step}
+    return _run_report(
+        parser, args, parameters,
+        lambda changes, meta: build_track_report(changes, spec, meta=meta),
+    )
 
 
 def _cmd_synth(parser: _Parser, args):
@@ -254,17 +237,9 @@ def _cmd_synth(parser: _Parser, args):
     manipulation = None
     if args.manip_fraction is not None:
         manipulation = (args.manip_fraction, args.manip_digit)
-    if args.base_spread <= 0.0:
-        parser.error("--base-spread must be positive")
     try:
         spec = SynthSpec(args.kind, args.n, args.seed, manipulation)
-        series = synth_panel(
-            spec,
-            entity=args.entity,
-            tenor=args.tenor,
-            start=args.start_date,
-            base_spread=args.base_spread,
-        )
+        series = synth_panel(spec, entity=args.entity, tenor=args.tenor, start=args.start_date)
     except ValueError as exc:
         parser.error(str(exc))
     return lambda: serialize_panel([series])

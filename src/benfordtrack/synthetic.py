@@ -113,18 +113,15 @@ def synth_panel(
     entity: str = "SYNTH",
     tenor: str = "5Y",
     start: date = date(2008, 8, 8),
-    base_spread: float = 100.0,
 ) -> SpreadSeries:
     """A spread series whose daily changes are the generated sample.
 
-    Spreads are the running sum of the sample on top of `base_spread`
-    over n + 1 consecutive weekdays; the generated values are positive,
-    so the spread path stays positive.
+    Spreads are the running sum of the sample on top of 100.0 over
+    n + 1 consecutive weekdays; the generated values are positive, so
+    the spread path stays positive.
     """
-    if base_spread <= 0.0:
-        raise ValueError("base spread must be positive")
     values = generate(spec)
-    spreads = base_spread + np.concatenate([[0.0], np.cumsum(values)])
+    spreads = 100.0 + np.concatenate([[0.0], np.cumsum(values)])
     # Monday to Friday is numpy's default business-day mask
     dates = np.busday_offset(np.datetime64(start, "D"), np.arange(spec.n + 1), roll="forward")
     return SpreadSeries.from_columns(entity, tenor, dates, spreads)

@@ -44,22 +44,19 @@ def named_periods() -> tuple[PeriodSpec, ...]:
 class WindowSpec:
     """Rolling window geometry, measured in observations, not days.
 
-    `length` observations per window, `step` observations between
-    window starts, and a trailing shorter window is still emitted when
-    it holds at least `length * min_fill` observations.
+    `length` observations per window and `step` observations between
+    window starts; a trailing shorter window is still emitted when it
+    holds at least half a window.
     """
 
     length: int = 90
     step: int = 45
-    min_fill: float = 0.5
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("window length must be at least 1")
         if not 1 <= self.step <= self.length:
             raise ValueError("step must lie in [1, length]")
-        if not 0.0 < self.min_fill <= 1.0:
-            raise ValueError("min_fill must lie in (0, 1]")
 
 
 def window_ranges(n: int, spec: WindowSpec) -> list[range]:
@@ -67,8 +64,8 @@ def window_ranges(n: int, spec: WindowSpec) -> list[range]:
 
     Window k starts at k * step; every full window of `length`
     observations is emitted, then at most one trailing partial window
-    starting at the next step offset, provided it reaches
-    length * min_fill observations.
+    starting at the next step offset, provided it holds at least half
+    of `length` observations.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -78,7 +75,7 @@ def window_ranges(n: int, spec: WindowSpec) -> list[range]:
     ]
     tail_start = full * spec.step
     remnant = n - tail_start
-    if remnant > 0 and remnant >= spec.length * spec.min_fill:
+    if remnant > 0 and 2 * remnant >= spec.length:
         ranges.append(range(tail_start, n))
     if not ranges:
         raise ValueError("series too short for windowing")

@@ -232,15 +232,15 @@ def chi2_tail_decimal(stat: float) -> float:
         return float((-y).exp() * (1 + y + y * y / 2 + y * y * y / 6))
 
 
-def enumerate_windows(n, length, step, min_fill):
+def enumerate_windows(n, length, step):
     """Walk offsets one step at a time: full windows, then at most one
-    trailing shorter window that reaches the fill floor."""
+    trailing shorter window that holds at least half a window."""
     out = []
     offset = 0
     while offset + length <= n:
         out.append((offset, offset + length))
         offset += step
-    if offset < n and n - offset >= length * min_fill:
+    if offset < n and n - offset >= length / 2:
         out.append((offset, n))
     return out
 

@@ -112,9 +112,9 @@ def test_criterion_4_power_against_uniform_and_manipulation():
 
 def test_criterion_5_window_count_reproduction():
     t0 = time.perf_counter()
-    expected = enumerate_windows(1750, 90, 45, 0.5)
+    expected = enumerate_windows(1750, 90, 45)
     series = make_change_series(list(generate(SynthSpec("benford", 1750, 0))))
-    spec = WindowSpec(length=90, step=45, min_fill=0.5)
+    spec = WindowSpec(length=90, step=45)
     results = track(series, spec)
     ranges = window_ranges(len(series.changes), spec)
     sizes = [len(r) for r in ranges]

@@ -1,5 +1,6 @@
-"""The public surface: the exported names and the README library example."""
+"""The public surface: the exported names, the CLI flags and the README's account of both."""
 
+import argparse
 import importlib
 import os
 import re
@@ -154,3 +155,29 @@ def test_readme_library_example_runs(capsys):
     assert float(chi_square) >= 0.0
     assert 0.0 <= float(p_value) <= 1.0
     assert verdict in ("accept", "reject")
+
+
+def _readme_flags() -> dict[str, set[str]]:
+    """The flags the README's "Common flags" bullets name for each subcommand.
+
+    A bullet that opens with a subcommand's name lists that command's own
+    flags; the other bullets list the flags `analyze` and `track` share.
+    """
+    listing = README.read_text(encoding="utf-8").split("\nCommon flags:\n", 1)[1]
+    bullets = listing.strip("\n").split("\n\n", 1)[0].removeprefix("- ").split("\n- ")
+    flags = {"analyze": set(), "track": set(), "synth": set()}
+    for bullet in bullets:
+        own = re.match(r"`(\w+)`:", bullet)
+        for command in [own[1]] if own else ["analyze", "track"]:
+            flags[command] |= set(re.findall(r"--[a-z][a-z-]*", bullet))
+    return flags
+
+
+def test_readme_flag_lists_are_the_parsers_options():
+    parser = benfordtrack.cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert _readme_flags() == options

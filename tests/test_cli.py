@@ -192,7 +192,7 @@ def test_analyze_range_flags_must_pair(panel_path, capsys):
     [
         ["analyze", "--from", "20090101", "--to", "2009-12-31"],
         ["analyze", "--from", "2009-01-01", "--to", "2009-W52-4"],
-        ["track", "--from", "2009-1-1", "--to", "2009-12-31"],
+        ["analyze", "--from", "2009-1-1", "--to", "2009-12-31"],
         ["synth", "--kind", "benford", "--n", "10", "--seed", "1",
          "--start-date", "20080808"],
     ],
@@ -279,6 +279,28 @@ def test_track_takes_no_alpha(tmp_path, capsys):
     assert "missing.csv" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["track", "--min-fill", "0.5"], "--min-fill"),
+        (["track", "--from", "2009-01-01", "--to", "2009-12-31"], "--from"),
+        (["synth", "--kind", "benford", "--n", "10", "--seed", "1",
+          "--base-spread", "100"], "--base-spread"),
+    ],
+    ids=["track-min-fill", "track-from-to", "synth-base-spread"],
+)
+def test_removed_options_are_usage_errors(argv, flag, tmp_path, capsys):
+    # a trailing window needs half a window, track windows the whole series
+    # and synthetic spreads start from 100
+    missing = str(tmp_path / "missing.csv")
+    io_flags = ["--out", missing] if argv[0] == "synth" else ["--input", missing]
+    code, out, err = run_cli([*argv, *io_flags], capsys)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {flag}" in err
+    assert "missing.csv" not in err
+    assert not (tmp_path / "missing.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "track"])
 @pytest.mark.parametrize("days", ["0", "-3"])
 def test_max_gap_days_below_one_is_a_usage_error_before_input(command, days, tmp_path, capsys):
@@ -353,17 +375,21 @@ def test_analyze_tenor_filter(panel_path, capsys):
     assert out.splitlines()[1:] == []  # synthetic panel only carries 5Y
 
 
-@pytest.mark.parametrize("command", ["analyze", "track"])
-def test_tenor_filter_keeps_exactly_the_named_tenors(command, tmp_path, capsys):
+@pytest.fixture
+def two_tenor_panel(tmp_path):
     panel = tmp_path / "two_tenors.csv"
     series = [
         synth_panel(SynthSpec("benford", 300, seed), entity="DE", tenor=tenor)
         for seed, tenor in ((1, "5Y"), (2, "10Y"))
     ]
     panel.write_text(serialize_panel(series), encoding="utf-8")
+    return panel
 
+
+@pytest.mark.parametrize("command", ["analyze", "track"])
+def test_tenor_filter_keeps_exactly_the_named_tenors(command, two_tenor_panel, capsys):
     def rows(*tenors):
-        argv = [command, "--input", str(panel), "--format", "csv"]
+        argv = [command, "--input", str(two_tenor_panel), "--format", "csv"]
         for tenor in tenors:
             argv += ["--tenor", tenor]
         code, out, _ = run_cli(argv, capsys)
@@ -374,6 +400,23 @@ def test_tenor_filter_keeps_exactly_the_named_tenors(command, tmp_path, capsys):
     assert {line.split(",")[1] for line in everything} == {"5Y", "10Y"}
     assert rows("5Y") == [line for line in everything if line.split(",")[1] == "5Y"]
     assert rows("5Y", "10Y") == everything
+
+
+@pytest.mark.parametrize("command", ["analyze", "track"])
+def test_tenor_flags_give_the_same_bytes_in_any_order_and_count(command, two_tenor_panel, capsys):
+    def output(*tenors):
+        argv = [command, "--input", str(two_tenor_panel), "--format", "json"]
+        for tenor in tenors:
+            argv += ["--tenor", tenor]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        return out
+
+    assert output("5Y", "5Y") == output("5Y")
+    assert json.loads(output("5Y"))["meta"]["parameters"]["tenor"] == ["5Y"]
+    both = output("5Y", "10Y")
+    assert output("10Y", "5Y") == output("10Y", "5Y", "10Y") == both
+    assert json.loads(both)["meta"]["parameters"]["tenor"] == ["10Y", "5Y"]
 
 
 # ----------------------------------------------------------------- track
@@ -403,12 +446,13 @@ def test_track_json_has_trends(panel_path, capsys):
 
 def test_track_custom_geometry(panel_path, capsys):
     code, out, _ = run_cli(
-        ["track", "--input", str(panel_path), "--window-len", "500",
-         "--step", "500", "--min-fill", "0.9", "--format", "csv"],
+        ["track", "--input", str(panel_path), "--window-len", "440",
+         "--step", "440", "--format", "csv"],
         capsys,
     )
     assert code == 0
-    assert len(out.splitlines()) == 4  # three full windows, tail below fill
+    # 1500 changes: three full windows of 440, then a 180 tail below half a window
+    assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["440"] * 3
 
 
 def test_track_bad_geometry_is_a_usage_error(panel_path, capsys):
@@ -427,17 +471,6 @@ def test_track_short_series_is_a_data_error(tmp_path, capsys):
     code, _, err = run_cli(["track", "--input", str(path)], capsys)
     assert code == 2
     assert "too short" in err
-
-
-def test_track_date_range_slices_before_windowing(panel_path, capsys):
-    code, out, _ = run_cli(
-        ["track", "--input", str(panel_path), "--from", "2008-08-08",
-         "--to", "2009-02-15", "--format", "csv"],
-        capsys,
-    )
-    assert code == 0
-    # 136 weekday changes fall in the range: two full windows plus a tail
-    assert len(out.splitlines()) == 4
 
 
 # ------------------------------------------------------ stdio encoding
@@ -613,8 +646,10 @@ GOLDEN_TRACK = ["track", "--max-gap-days", "4", "--window-len", "30", "--step", 
 # json digests were re-recorded for the closed-form p-value and the
 # nine-term KL, which moved p_value and kl cells in their last bits, and
 # the track json digest again for the cancellation-free trend r_squared,
-# which moved 4 of its 6 r_squared values in their last bits, and once more
-# when `track` stopped taking `--alpha`, which dropped its "alpha" meta line.
+# which moved 4 of its 6 r_squared values in their last bits, once more
+# when `track` stopped taking `--alpha`, which dropped its "alpha" meta line,
+# and again when it stopped taking `--min-fill`, `--from` and `--to`, which
+# dropped its "min_fill", "from" and "to" meta lines.
 GOLDEN_SHA256 = {
     ("analyze", "text"):
         "6bc27d8ae8f6c802166106d4826dfc631fbf3ce0cfc038621dfb2796966f60fd",
@@ -627,7 +662,7 @@ GOLDEN_SHA256 = {
     ("track", "csv"):
         "7a63f416488f117cbd6a317c5c4a1269d8c9ae9cf9cceeed2a19308d4402be3f",
     ("track", "json"):
-        "7d07774a13a89c21d8c499ec8f142d2f57e965cb632175c73643b2f4743bd4fb",
+        "49e78509e12602c3d7d7b59cbbe8720ab64bc6de5cc93b450dd23a598b266a64",
 }
 
 

@@ -336,11 +336,6 @@ def test_synth_panel_round_trips_through_csv():
     assert digit_histogram(recovered) == digit_histogram(generate(SynthSpec("benford", 250, 7)))
 
 
-def test_synth_panel_base_spread_validation():
-    with pytest.raises(ValueError, match="base spread"):
-        synth_panel(SynthSpec("benford", 10, 0), base_spread=0.0)
-
-
 # --------------------------------------------------- digit oracle check
 
 @given(seed=st.integers(0, 5000))

@@ -1,6 +1,5 @@
 """Named periods, window geometry, period rows and rolling tracks."""
 
-import math
 from dataclasses import fields
 from datetime import date, timedelta
 
@@ -67,7 +66,7 @@ def test_period_spec_validation():
 
 def test_window_spec_defaults():
     spec = WindowSpec()
-    assert (spec.length, spec.step, spec.min_fill) == (90, 45, 0.5)
+    assert (spec.length, spec.step) == (90, 45)
 
 
 @pytest.mark.parametrize(
@@ -77,9 +76,6 @@ def test_window_spec_defaults():
         {"length": -3},
         {"step": 0},
         {"step": 91},
-        {"min_fill": 0.0},
-        {"min_fill": 1.5},
-        {"min_fill": -0.2},
     ],
 )
 def test_window_spec_validation(kwargs):
@@ -120,25 +116,25 @@ def test_window_ranges_too_short():
         window_ranges(0, WindowSpec())
 
 
-def test_partial_window_respects_min_fill():
-    spec = WindowSpec(length=10, step=10, min_fill=0.5)
+def test_partial_window_needs_half_a_window():
+    spec = WindowSpec(length=10, step=10)
     assert [len(r) for r in window_ranges(25, spec)] == [10, 10, 5]
     assert [len(r) for r in window_ranges(24, spec)] == [10, 10]
-    strict = WindowSpec(length=10, step=10, min_fill=1.0)
-    assert [len(r) for r in window_ranges(25, strict)] == [10, 10]
+    odd = WindowSpec(length=11, step=11)  # half of 11 rounds up
+    assert [len(r) for r in window_ranges(28, odd)] == [11, 11, 6]
+    assert [len(r) for r in window_ranges(27, odd)] == [11, 11]
 
 
 @given(
     n=st.integers(1, 2000),
     length=st.integers(1, 200),
     step_frac=st.floats(0.0, 1.0),
-    min_fill=st.floats(0.01, 1.0),
 )
 @settings(max_examples=300)
-def test_window_ranges_match_enumeration_oracle(n, length, step_frac, min_fill):
+def test_window_ranges_match_enumeration_oracle(n, length, step_frac):
     step = max(1, min(length, round(step_frac * length)))
-    spec = WindowSpec(length=length, step=step, min_fill=min_fill)
-    expected = enumerate_windows(n, length, step, min_fill)
+    spec = WindowSpec(length=length, step=step)
+    expected = enumerate_windows(n, length, step)
     if not expected:
         with pytest.raises(ValueError):
             window_ranges(n, spec)
@@ -150,15 +146,15 @@ def test_window_ranges_match_enumeration_oracle(n, length, step_frac, min_fill):
 @given(
     n=st.integers(10, 2000),
     length=st.integers(2, 200),
-    min_fill=st.floats(0.01, 0.5),
+    step=st.integers(1, 100),
 )
 @settings(max_examples=200)
-def test_windows_cover_series_when_step_small_enough(n, length, min_fill):
-    # overlap guarantee: stepping by no more than the non-required tail
-    # of each window leaves no observation uncovered
-    step = max(1, math.floor(length * (1.0 - min_fill)))
-    spec = WindowSpec(length=length, step=step, min_fill=min_fill)
-    if n < length * min_fill:
+def test_windows_cover_series_when_step_small_enough(n, length, step):
+    # overlap guarantee: stepping by at most half a window leaves no
+    # observation uncovered, as a dropped tail lies inside the last full window
+    step = min(step, length // 2)
+    spec = WindowSpec(length=length, step=step)
+    if 2 * n < length:
         return
     try:
         ranges = window_ranges(n, spec)
@@ -171,10 +167,10 @@ def test_windows_cover_series_when_step_small_enough(n, length, min_fill):
 
 
 def test_window_ranges_partition_when_step_equals_length():
-    spec = WindowSpec(length=20, step=20, min_fill=0.25)
-    ranges = window_ranges(107, spec)
+    spec = WindowSpec(length=20, step=20)
+    ranges = window_ranges(110, spec)
     flat = [i for r in ranges for i in r]
-    assert flat == list(range(107))
+    assert flat == list(range(110))
 
 
 # -------------------------------------------------------- period slicing
@@ -244,7 +240,7 @@ def test_track_reference_panel_geometry():
 def test_track_windows_match_direct_conformity():
     values = list(generate(SynthSpec("benford", 400, 9)))
     series = make_change_series(values)
-    spec = WindowSpec(length=100, step=50, min_fill=0.5)
+    spec = WindowSpec(length=100, step=50)
     results = track(series, spec)
     ranges = window_ranges(len(values), spec)
     rows = report_rows(build_track_report([series], spec))
@@ -281,7 +277,7 @@ def test_track_constant_series_rejects_every_window():
 @pytest.mark.parametrize(
     "n, spec",
     [(400, WindowSpec()), (1750, WindowSpec()), (90, WindowSpec()), (50, WindowSpec()),
-     (107, WindowSpec(20, 20, 0.25)), (300, WindowSpec(7, 3, 1.0)), (11, WindowSpec(1, 1))],
+     (107, WindowSpec(20, 20)), (300, WindowSpec(7, 3)), (11, WindowSpec(1, 1))],
 )
 def test_track_has_one_row_per_window(n, spec):
     s = make_change_series(list(generate(SynthSpec("benford", n, n))))
