@@ -2,9 +2,9 @@
 
 A report is one table held as columns: a dict from each column name of
 `PERIOD_COLUMNS` or `TRACK_COLUMNS`, in that order, to its list of
-Python scalars.  The builders measure the panel's period cells, or a
-series' windows, in one conformity call, whose `ConformityStats` columns
-carry the names of the report columns they fill.  One generic renderer
+Python scalars.  The builders measure the panel's period cells, or its
+windows, in one conformity call, whose `ConformityStats` columns carry
+the names of the report columns they fill.  One generic renderer
 per format turns each column into cells by value type:
 the text table shows floats with four decimals, `-` for a missing value
 and Roman window labels; CSV carries floats at full precision via repr
@@ -29,7 +29,7 @@ import numpy as np
 
 from .digits import DigitHistogram, digit_histogram
 from .panel import ChangeSeries
-from .stats import ConformityStats, conformity
+from .stats import conformity
 from .windows import PeriodSpec, WindowSpec, track, window_ranges
 
 PERIOD_COLUMNS = (
@@ -90,28 +90,27 @@ class Report:
             raise ValueError(f"columns of unequal length: {lengths}")
 
 
-def fit_trend(stats: ConformityStats, metric: str) -> TrendFit:
+def fit_trend(values: Sequence[float], metric: str) -> TrendFit:
     """Ordinary least squares of a window metric on the window index.
 
-    `stats` holds the windows in order, as `track` returns them; the
-    metric is its column of that name and the regressor each row's
-    1-based position.  A constant metric column fits slope 0 with
+    `values` are the `metric` cells of one series' windows in order, as
+    a track report's column of that name holds them; the regressor is
+    each value's 1-based position.  A constant column fits slope 0 with
     r_squared defined as 0.
     """
-    if len(stats) < 2:
+    n = len(values)
+    if n < 2:
         raise ValueError("insufficient windows for trend")
     if metric not in TREND_METRICS:
         raise ValueError(f"metric must be one of {TREND_METRICS}")
-    n = len(stats)
-    y = getattr(stats, metric)
     x = [float(i) for i in range(1, n + 1)]
     x_mean = sum(x) / n
-    y_mean = sum(y) / n
+    y_mean = sum(values) / n
     sxx = sum((xi - x_mean) ** 2 for xi in x)
-    sxy = sum((xi - x_mean) * (yi - y_mean) for xi, yi in zip(x, y))
+    sxy = sum((xi - x_mean) * (yi - y_mean) for xi, yi in zip(x, values))
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
-    ss_tot = sum((yi - y_mean) ** 2 for yi in y)
+    ss_tot = sum((yi - y_mean) ** 2 for yi in values)
     # sxy^2 / (sxx ss_tot) equals 1 - ss_res / ss_tot without its cancellation
     r_squared = min(1.0, sxy * sxy / (sxx * ss_tot)) if ss_tot else 0.0
     return TrendFit(metric, slope, intercept, r_squared)
@@ -172,13 +171,17 @@ def build_track_report(
 
     A window is dated by the first and last date of its range.  The rows
     carry measurements only, no verdict, so no significance level is
-    taken.  Trend fits need at least two windows; a series yielding a
+    taken.  The windows of all series are measured in one conformity
+    call.  Trend fits need at least two windows; a series yielding a
     single window contributes rows but no trends.
     """
-    columns = {name: [] for name in TRACK_COLUMNS}
+    windows = [(s, track(s, spec)) for s in _by_key(series)]
+    stats = conformity([h for _, histograms in windows for h in histograms])
+    columns = {name: [] for name in TRACK_COLUMNS[:5]}
+    columns.update((name, getattr(stats, name)) for name in TRACK_COLUMNS[5:])
     trends = []
-    for s in _by_key(series):
-        stats = track(s, spec)
+    for s, histograms in windows:
+        span = slice(len(columns["entity"]), len(columns["entity"]) + len(histograms))
         bounds = [(r.start, r.stop - 1) for r in window_ranges(len(s.changes), spec)]
         starts, ends = np.datetime_as_string(s.dates[np.array(bounds).T]).tolist()
         columns["entity"] += [s.entity] * len(bounds)
@@ -186,11 +189,9 @@ def build_track_report(
         columns["window"] += range(1, len(bounds) + 1)
         columns["start_date"] += starts
         columns["end_date"] += ends
-        for name in TRACK_COLUMNS[5:]:
-            columns[name] += getattr(stats, name)
-        if len(stats) >= 2:
+        if len(histograms) >= 2:
             for metric in TREND_METRICS:
-                trends.append((s.entity, s.tenor, fit_trend(stats, metric)))
+                trends.append((s.entity, s.tenor, fit_trend(columns[metric][span], metric)))
     return Report(columns, dict(meta or {}), tuple(trends))
 
 

@@ -1,13 +1,12 @@
-"""Named analysis periods, rolling window geometry and rolling conformity."""
+"""Named analysis periods, rolling window geometry and rolling window digits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
 
-from .digits import digit_histogram
+from .digits import DigitHistogram, digit_histogram
 from .panel import ChangeSeries
-from .stats import ConformityStats, conformity
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,13 @@ def window_ranges(n: int, spec: WindowSpec) -> list[range]:
     return ranges
 
 
-def track(series: ChangeSeries, spec: WindowSpec = WindowSpec()) -> ConformityStats:
-    """Conformity of the rolling windows: one table row per window, in order.
+def track(series: ChangeSeries, spec: WindowSpec = WindowSpec()) -> list[DigitHistogram]:
+    """Digit histograms of the rolling windows: one per window, in order.
 
-    The windows are `window_ranges(len(series.changes), spec)`, and one
-    conformity call measures all of them; each window's dates are its
-    range's bounds in `series.dates`.  A window of only zero changes has
-    no digits to test and raises the empty-sample error.
+    The windows are `window_ranges(len(series.changes), spec)`; each
+    window's dates are its range's bounds in `series.dates`.
+    `conformity(track(series, spec))` measures them, and raises the
+    empty-sample error for a window of only zero changes.
     """
     ranges = window_ranges(len(series.changes), spec)
-    return conformity([digit_histogram(series.changes[r.start : r.stop]) for r in ranges])
+    return [digit_histogram(series.changes[r.start : r.stop]) for r in ranges]

@@ -473,6 +473,18 @@ def test_track_short_series_is_a_data_error(tmp_path, capsys):
     assert "too short" in err
 
 
+def test_track_all_zero_window_is_a_data_error(tmp_path, capsys):
+    good = synth_panel(SynthSpec("benford", 400, 1), entity="AA")
+    # BB quotes one level from its 101st to its 301st day: the windows
+    # over changes 135-224 and 180-269 hold only zero changes
+    spreads = good.spreads.copy()
+    spreads[100:301] = spreads[100]
+    flat = SpreadSeries.from_columns("BB", "5Y", good.dates, spreads)
+    path = tmp_path / "flat.csv"
+    path.write_text(serialize_panel([good, flat]), encoding="utf-8")
+    assert run_cli(["track", "--input", str(path)], capsys) == (2, "", "error: empty sample\n")
+
+
 # ------------------------------------------------------ stdio encoding
 
 def _cli(argv, cwd, stdin=b"", env=None, program=("-m", "benfordtrack")):

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benfordtrack import (
-    SMALL_SAMPLE_MIN,
-    ConformityStats,
     Report,
     SynthSpec,
     ChangeSeries,
@@ -69,22 +69,8 @@ def test_roman_rejects_nonpositive():
 
 # ---------------------------------------------------------------- trend
 
-def _results(chi_values, cheb=None, kl=None, n=90):
-    """A window table with these chi-square values, like `track` returns."""
-    k = len(chi_values)
-    return ConformityStats(
-        n=[n] * k,
-        chi2=list(chi_values),
-        p_value=[0.5] * k,
-        verdict=["accept"] * k,
-        chebyshev=cheb or [0.01] * k,
-        kl=kl or [0.02] * k,
-        small_sample=[n < SMALL_SAMPLE_MIN] * k,
-    )
-
-
 def test_fit_trend_recovers_an_exact_line():
-    fit = fit_trend(_results([5.0, 7.0, 9.0, 11.0]), "chi2")
+    fit = fit_trend([5.0, 7.0, 9.0, 11.0], "chi2")
     assert fit.metric == "chi2"
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
     assert fit.intercept == pytest.approx(3.0, abs=1e-12)
@@ -92,14 +78,14 @@ def test_fit_trend_recovers_an_exact_line():
 
 
 def test_fit_trend_constant_sequence():
-    fit = fit_trend(_results([4.0, 4.0, 4.0]), "chi2")
+    fit = fit_trend([4.0, 4.0, 4.0], "chi2")
     assert fit.slope == 0.0
     assert fit.intercept == 4.0
     assert fit.r_squared == 0.0
 
 
 def test_fit_trend_noisy_line_keeps_r_squared_in_bounds():
-    fit = fit_trend(_results([1.0, 3.5, 2.0, 5.0, 4.5]), "chi2")
+    fit = fit_trend([1.0, 3.5, 2.0, 5.0, 4.5], "chi2")
     assert 0.0 <= fit.r_squared <= 1.0
     assert fit.slope > 0.0
 
@@ -109,7 +95,7 @@ def test_fit_trend_r_squared_of_a_near_flat_series_matches_exact_arithmetic():
     # index (+ - - + repeated): r_squared is near 3e-9, where 1 - ss_res / ss_tot
     # would keep only about seven digits
     y = [5.0 + (0.1, -0.1, -0.1, 0.1)[i % 4] + 1e-7 * i for i in range(200)]
-    fit = fit_trend(_results(y), "chi2")
+    fit = fit_trend(y, "chi2")
     xs = [Fraction(i) for i in range(1, len(y) + 1)]
     ys = [Fraction(v) for v in y]
     x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
@@ -122,16 +108,23 @@ def test_fit_trend_r_squared_of_a_near_flat_series_matches_exact_arithmetic():
 
 
 def test_fit_trend_reads_the_requested_metric():
-    results = _results([1.0] * 3, cheb=[0.10, 0.20, 0.30], kl=[0.30, 0.20, 0.10])
-    assert fit_trend(results, "chebyshev").slope == pytest.approx(0.1, abs=1e-12)
-    assert fit_trend(results, "kl").slope == pytest.approx(-0.1, abs=1e-12)
+    cheb = fit_trend([0.10, 0.20, 0.30], "chebyshev")
+    assert (cheb.metric, cheb.slope) == ("chebyshev", pytest.approx(0.1, abs=1e-12))
+    kl = fit_trend([0.30, 0.20, 0.10], "kl")
+    assert (kl.metric, kl.slope) == ("kl", pytest.approx(-0.1, abs=1e-12))
+    # a track report fits each metric from its own column
+    s = make_change_series(list(generate(SynthSpec("benford", 400, 3))))
+    report = build_track_report([s], WindowSpec())
+    assert [fit.metric for _, _, fit in report.trends] == list(TREND_METRICS)
+    for _, _, fit in report.trends:
+        assert fit == fit_trend(report.columns[fit.metric], fit.metric)
 
 
 def test_fit_trend_validation():
     with pytest.raises(ValueError, match="insufficient windows"):
-        fit_trend(_results([1.0]), "chi2")
+        fit_trend([1.0], "chi2")
     with pytest.raises(ValueError, match="metric"):
-        fit_trend(_results([1.0, 2.0]), "median")
+        fit_trend([1.0, 2.0], "median")
 
 
 # -------------------------------------------------------- period report
@@ -265,6 +258,72 @@ def test_build_track_report_single_window_has_no_trends():
     assert report.trends == ()
 
 
+def test_build_track_report_measures_the_panel_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(histograms, alpha=0.05):
+        calls.append(len(histograms))
+        return conformity(histograms, alpha)
+
+    monkeypatch.setattr(reporting, "conformity", counted)
+    single = make_change_series(list(generate(SynthSpec("benford", 50, 2))), entity="PT")
+    report = build_track_report(_panel() + [single], WindowSpec())
+    # four 1,750-change series of 38 windows each, and PT's one window
+    assert calls == [153]
+    assert len(report_rows(report)) == 153
+    assert len(report.trends) == 12
+
+
+@st.composite
+def _short_panels(draw):
+    """Window geometry and 1 to 12 series of one to four windows each.
+
+    Changes are nonzero, so every window holds digits; the series come
+    in a drawn order, not sorted by key.
+    """
+    length = draw(st.integers(2, 6))
+    spec = WindowSpec(length, draw(st.integers(1, length)))
+    value = st.builds(
+        lambda m, e, sign: sign * m * 10.0 ** e,
+        st.floats(1.0, 9.99), st.integers(-3, 3), st.sampled_from([1.0, -1.0]),
+    )
+    panel = []
+    for i in draw(st.permutations(range(draw(st.integers(1, 12))))):
+        # (length + 1) // 2 changes make one window, and length + 3 * step - 1
+        # at most four (three full ones and a tail)
+        n = draw(st.integers((length + 1) // 2, length + 3 * spec.step - 1))
+        values = draw(st.lists(value, min_size=n, max_size=n))
+        panel.append(make_change_series(values, entity=f"E{i // 2}", tenor=f"{i % 2}Y"))
+    return spec, panel
+
+
+@settings(max_examples=80, deadline=None)
+@given(_short_panels())
+def test_build_track_report_cells_and_trends_match_each_series_alone(drawn):
+    spec, panel = drawn
+    report = build_track_report(panel, spec)
+    rows = iter(report_rows(report))
+    trends = []
+    for s in sorted(panel, key=lambda s: (s.entity, s.tenor)):
+        ranges = window_ranges(len(s.changes), spec)
+        assert 1 <= len(ranges) <= 4
+        measured = {name: [] for name in TREND_METRICS}
+        for index, r in enumerate(ranges, 1):
+            row = next(rows)
+            c = conformity([digit_histogram(s.changes[r.start : r.stop])])
+            assert row[:6] == (s.entity, s.tenor, index,
+                               s.dates[r.start].item().isoformat(),
+                               s.dates[r.stop - 1].item().isoformat(), c.n[0])
+            assert [float.hex(v) for v in row[6:]] == [
+                float.hex(getattr(c, name)[0]) for name in TRACK_COLUMNS[6:]]
+            for name in TREND_METRICS:
+                measured[name] += getattr(c, name)
+        if len(ranges) >= 2:
+            trends += [(s.entity, s.tenor, fit_trend(measured[m], m)) for m in TREND_METRICS]
+    assert next(rows, None) is None
+    assert report.trends == tuple(trends)
+
+
 # ----------------------------------------------------------- row schema
 
 def test_columns_hold_python_scalars_in_column_order():
@@ -296,7 +355,7 @@ def test_rows_copy_each_measurement_into_its_column():
     assert row == ("AT", "5Y", "full", c.chi2[0], c.p_value[0], c.verdict[0],
                    c.n[0], c.small_sample[0])
     rows = report_rows(build_track_report([s], WindowSpec()))
-    w = track(s, WindowSpec())
+    w = conformity(track(s, WindowSpec()))
     ranges = window_ranges(len(s.changes), WindowSpec())
     assert rows == tuple(
         ("AT", "5Y", index, s.dates[r.start].item().isoformat(),
