@@ -3,9 +3,10 @@
 The accepted input is a UTF-8 CSV with the exact header
 ``date,entity,tenor,spread_bps``: dates written exactly as
 ``YYYY-MM-DD``, comma-free entity and tenor labels, and strictly
-positive finite spreads with a ``.`` decimal separator.  Blank lines
-are skipped and lines starting with ``#`` are comments.  Parsing is
-strict; every rejection names the offending 1-based line.
+positive finite spreads with a ``.`` decimal separator.  Lines end
+with LF, CRLF or CR, as in the `csv` module; blank lines are skipped
+and lines starting with ``#`` are comments.  Parsing is strict; every
+rejection names the offending 1-based line.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ _LAST_DAY = np.datetime64(date.max, "D")
 _DAY_SPAN = date.max.toordinal() - date.min.toordinal() + 1
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_LONE_CR = re.compile(r"\r(?!\n)")  # faster than comparing counts of "\r" and "\r\n"
 
 
 class PanelFormatError(ValueError):
@@ -58,11 +60,10 @@ class SpreadSeries:
 
     `dates` (datetime64[D], strictly increasing, within years 1 to 9999)
     and `spreads` (float64, positive and finite) are read-only.  The
-    entity and tenor labels are nonempty and hold no comma or line
-    break, so every series can be written as panel CSV.  The
-    constructor takes ``(date, spread)`` pairs and `from_columns` takes
-    the two columns.  Series compare by identity, as their fields are
-    arrays.
+    entity and tenor labels are nonempty and hold no comma, LF or CR, so
+    every series can be written as panel CSV.  The constructor takes
+    ``(date, spread)`` pairs and `from_columns` takes the two columns.
+    Series compare by identity, as their fields are arrays.
     """
 
     entity: str
@@ -145,7 +146,7 @@ def _check_series(labels: list, dates: np.ndarray, spreads: np.ndarray, bounds) 
     `SpreadSeries` rules; series i is `labels[i]` on rows `bounds[i]` to `bounds[i + 1]`."""
     for name, names in zip(("entity", "tenor"), zip(*labels)):
         for label in dict.fromkeys(names):  # each distinct label once
-            if not label or any(mark in label for mark in _NOT_IN_LABELS):
+            if not label or any(mark in label for mark in ",\n\r"):
                 raise ValueError(f"{name} {label!r} is empty or holds a comma or line break")
     if dates.ndim != 1 or dates.shape != spreads.shape:
         raise ValueError("dates and spreads must be 1-D columns of equal length")
@@ -208,9 +209,11 @@ def parse_panel(text: str) -> list[SpreadSeries]:
 
 def _parse_lines(text: str) -> list[SpreadSeries]:
     """The reference parser: one line at a time, each error with its line."""
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise PanelFormatError(1, "missing header")
+    if "\r" in text:  # CRLF and lone CR end lines as LF does
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if lines[0] != PANEL_HEADER:
         bom = "header starts with a UTF-8 byte-order mark; "
         prefix = bom if lines[0].startswith("\ufeff") else ""
@@ -232,11 +235,6 @@ def _parse_lines(text: str) -> list[SpreadSeries]:
         series.append(SpreadSeries(entity, tenor, sorted(cell.items())))
     return series
 
-
-# Line breaks of str.splitlines other than "\n"; the columnar parser turns
-# CRLF and lone CR into "\n" and sends text holding any other to the line parser.
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_NOT_IN_LABELS = ",\n" + _OTHER_BREAKS
 
 # every byte but "," and "\n"; deleting them leaves a chunk's field layout
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
@@ -268,21 +266,22 @@ def _parse_columns(text: str) -> list[SpreadSeries] | None:
     once per distinct string, spreads by `float` and each row numbered
     by its (entity, tenor) series in first-seen order, then one sort
     orders the rows and one `_check_series` call checks them all.  CRLF
-    and lone CR read as "\\n", and trailing blank lines hold no row.
-    Returns None, leaving the text to the line parser, whenever it holds
-    anything that parser treats specially or rejects: another line
-    break, an interior blank line, a comment or padded line, a line
-    without exactly four fields, an invalid date or spread, or a series
-    that `SpreadSeries` rejects: an empty label, a spread not positive and
+    is read in place, as `float` strips the CR left on each spread; only
+    a text holding a lone CR is first folded to LF.  Trailing blank lines
+    hold no row.  Returns None, leaving the text to the line parser,
+    whenever it holds anything that parser treats specially or rejects:
+    an interior blank line, a comment or padded line, a line without
+    exactly four fields, an invalid date or spread, or a series that
+    `SpreadSeries` rejects: an empty label, a spread not positive and
     finite, or a duplicate row (next to its twin once sorted).
     """
-    if "\r" in text:  # line breaks as str.splitlines reads them
+    if "\r" in text and _LONE_CR.search(text):  # a lone CR ends a line
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not text.startswith(PANEL_HEADER + "\n") or any(mark in text for mark in _OTHER_BREAKS):
+    if not text.startswith((PANEL_HEADER + "\n", PANEL_HEADER + "\r\n")):
         return None
     series_ids = _Ids()
-    start, stop = len(PANEL_HEADER) + 1, len(text)
-    while text.endswith("\n", 0, stop):
+    start, stop = text.index("\n") + 1, len(text)
+    while text.endswith(("\n", "\r"), 0, stop):
         stop -= 1  # trailing blank lines hold no row
     spans, rows = [], 0  # (start, end, first row, end row) of each chunk of whole lines
     while start < stop:
@@ -356,7 +355,7 @@ def _parse_all(text: str, spans: list, columns: list[np.ndarray], series_ids: _I
     this one's chunks.  One that meets a chunk that is not well-formed
     drains the tokens, so the other stops at its next claim.  The child
     sends only one ``entity,tenor`` line per series (labels hold no comma
-    or line break) and leaves by `os._exit`; this process renumbers the
+    or LF) and leaves by `os._exit`; this process renumbers the
     tail's series with its own ids and always reaps the child.  Returns
     False for a bad chunk or a child exit status other than 0.
     """
@@ -405,7 +404,7 @@ def _parse_all(text: str, spans: list, columns: list[np.ndarray], series_ids: _I
         return False
     if parsed < len(spans):  # the child's rows follow this process's chunks
         tail = columns[0][spans[parsed][2] :]
-        lines = labels.decode("utf-8", "surrogatepass").splitlines()
+        lines = labels.decode("utf-8", "surrogatepass").split("\n")
         remap = np.array([series_ids[tuple(line.split(","))] for line in lines], np.int64)
         np.take(remap, tail, out=tail, mode="clip")  # in place; "raise" would copy
     return True

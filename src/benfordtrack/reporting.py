@@ -103,17 +103,15 @@ def fit_trend(values: Sequence[float], metric: str) -> TrendFit:
         raise ValueError("insufficient windows for trend")
     if metric not in TREND_METRICS:
         raise ValueError(f"metric must be one of {TREND_METRICS}")
-    x = [float(i) for i in range(1, n + 1)]
-    x_mean = sum(x) / n
+    x_mean = (n + 1) / 2  # the closed forms over positions 1..n are exact
     y_mean = sum(values) / n
-    sxx = sum((xi - x_mean) ** 2 for xi in x)
-    sxy = sum((xi - x_mean) * (yi - y_mean) for xi, yi in zip(x, values))
+    sxx = n * (n * n - 1) / 12
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in enumerate(values, 1))
     slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
     ss_tot = sum((yi - y_mean) ** 2 for yi in values)
     # sxy^2 / (sxx ss_tot) equals 1 - ss_res / ss_tot without its cancellation
     r_squared = min(1.0, sxy * sxy / (sxx * ss_tot)) if ss_tot else 0.0
-    return TrendFit(metric, slope, intercept, r_squared)
+    return TrendFit(metric, slope, y_mean - slope * x_mean, r_squared)
 
 
 def _by_key(series: Iterable[ChangeSeries]) -> list[ChangeSeries]:

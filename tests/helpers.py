@@ -3,10 +3,10 @@
 Everything here re-derives expected behavior through a different route
 than the library takes: decimal-string digit scanning, the digit rule
 and the digit manipulation one Python float at a time, plain-Python
-formula evaluation, conformity one histogram at a time, adaptive
-quadrature, 60-digit decimals, step-by-step window enumeration, panel
-CSV one f-string row at a time, and JSON through a dict document and
-json.dumps.
+formula evaluation, trend fits from sums rather than closed forms,
+conformity one histogram at a time, adaptive quadrature, 60-digit
+decimals, step-by-step window enumeration, panel CSV one f-string row
+at a time, and JSON through a dict document and json.dumps.
 """
 
 import hashlib
@@ -243,6 +243,20 @@ def enumerate_windows(n, length, step):
     if offset < n and n - offset >= length / 2:
         out.append((offset, n))
     return out
+
+
+def summed_trend(values) -> tuple[float, float, float]:
+    """(slope, intercept, r_squared) of `values` on positions 1..n, with every
+    regressor sum (mean, sxx, sxy) taken term by term over float positions."""
+    n = len(values)
+    x = [float(i) for i in range(1, n + 1)]
+    x_mean, y_mean = sum(x) / n, sum(values) / n
+    sxx = sum((xi - x_mean) ** 2 for xi in x)
+    sxy = sum((xi - x_mean) * (yi - y_mean) for xi, yi in zip(x, values))
+    ss_tot = sum((yi - y_mean) ** 2 for yi in values)
+    slope = sxy / sxx
+    r_squared = min(1.0, sxy * sxy / (sxx * ss_tot)) if ss_tot else 0.0
+    return slope, y_mean - slope * x_mean, r_squared
 
 
 def make_change_series(values, start=date(2008, 8, 8), entity="X", tenor="5Y"):

@@ -39,8 +39,10 @@ GOOD = """date,entity,tenor,spread_bps
 2010-01-05,France,5Y,30.0
 """
 
-# every line break of str.splitlines but "\n"
+# every line break of str.splitlines but "\n"; of these only "\r" ends a panel
+# line, as in the csv module, and the rest are ordinary characters
 _BREAKS = ("\r", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\u2028", "\u2029")
+_NOT_IN_LABELS = ",\n\r"
 
 
 # ------------------------------------------------------------- parsing
@@ -377,7 +379,7 @@ def test_from_columns_validates_like_the_pair_constructor(days, spreads, message
 @pytest.mark.parametrize("field", ["entity", "tenor"])
 def test_labels_must_be_writable_as_panel_csv(field):
     day = np.array(["2010-01-04"], "datetime64[D]")
-    for bad in ("", ",", "A,B", "A\nB", *(f"A{mark}B" for mark in _BREAKS)):
+    for bad in ("", ",", "A,B", "A\nB", "A\rB", "A\r\nB"):
         labels = {"entity": "X", "tenor": "5Y", field: bad}
         message = rf"^{field} {re.escape(repr(bad))} is empty or holds a comma or line break$"
         with pytest.raises(ValueError, match=message):
@@ -393,7 +395,7 @@ _DAY_RANGE = (np.datetime64("0001-01-01", "D").astype(int),
 
 def _breaks_a_rule(entity, tenor, days, spreads):
     """The `SpreadSeries` rules, one series at a time in plain Python."""
-    bad_label = any(not label or any(mark in label for mark in ",\n" + "".join(_BREAKS))
+    bad_label = any(not label or any(mark in label for mark in _NOT_IN_LABELS)
                     for label in (entity, tenor))
     return (bad_label or any(b <= a for a, b in zip(days, days[1:]))
             or any(not _DAY_RANGE[0] <= d <= _DAY_RANGE[1] for d in days)
@@ -457,7 +459,7 @@ def test_a_series_may_start_before_the_previous_one_ends():
             panel._check_series(labels, dates, np.ones(6), bounds)
 
 
-_LABEL = st.text(st.characters(exclude_characters=",\n" + "".join(_BREAKS)), min_size=1)
+_LABEL = st.text(st.characters(exclude_characters=_NOT_IN_LABELS), min_size=1)
 
 
 @given(entity=_LABEL, tenor=_LABEL)
@@ -527,10 +529,9 @@ class _TracedMapping(mmap.mmap):
         self.shadow = bytearray(length)
 
 
-def test_parsed_panel_keeps_columns_not_row_objects(monkeypatch):
+def _traced_parse(monkeypatch, text):
+    """`parse_panel(text)`, with the memory it retains and its peak, in bytes."""
     monkeypatch.setattr(panel, "mmap", types.SimpleNamespace(mmap=_TracedMapping))
-    text = _sovereign_panel(entities=50, n=999)
-    rows = 100_000
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -538,6 +539,12 @@ def test_parsed_panel_keeps_columns_not_row_objects(monkeypatch):
         retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    return series, retained, peak
+
+
+def test_parsed_panel_keeps_columns_not_row_objects(monkeypatch):
+    rows = 100_000
+    series, retained, peak = _traced_parse(monkeypatch, _sovereign_panel(entities=50, n=999))
     assert sum(len(s.spreads) for s in series) == rows
     # two 8-byte columns per row, plus a little per series
     assert retained <= 32 * rows
@@ -545,6 +552,23 @@ def test_parsed_panel_keeps_columns_not_row_objects(monkeypatch):
     # per row measured), then at most four 8-byte columns per row during the
     # sort (a fifth column alive there measured 40.2)
     assert peak <= 40 * rows
+
+
+def test_crlf_panel_is_read_in_place_as_columns(monkeypatch):
+    # CRLF header and rows and two trailing CRLF blank lines, over about 28
+    # chunks: no folded copy of the text, so the LF gate holds
+    text = _sovereign_panel(entities=50, n=999)
+    expected = _rows(panel._parse_columns(text))
+    crlf = text.replace("\n", "\r\n") + "\r\n\r\n"
+    assert crlf.startswith(panel.PANEL_HEADER + "\r\n") and len(crlf) > 20 * panel._CHUNK
+
+    def refuse(text):
+        raise AssertionError("line parser called on a CRLF panel")
+
+    monkeypatch.setattr(panel, "_parse_lines", refuse)
+    series, _, peak = _traced_parse(monkeypatch, crlf)
+    assert _rows(series) == expected
+    assert peak <= 40 * 100_000
 
 
 def test_parsed_columns_are_views_that_stay_read_only():
@@ -588,8 +612,12 @@ def _mutated_panel(rng: random.Random) -> str:
             head, tail = body[i].rsplit(",", 1)
             moved = [body[i + 1], tail] if rng.random() < 0.5 else [tail, body[i + 1]]
             body[i], body[i + 1] = head, ",".join(moved)
-        elif kind == 1:  # a line break inside an entity
-            body[i] = f"{date_},{entity[:1]}{rng.choice(_BREAKS)}{entity[1:]},{tenor},{spread}"
+        elif kind == 1:  # a former line break inside an entity, date or spread, or at the end
+            mark = rng.choice(_BREAKS)
+            body[i] = rng.choice([f"{date_},{entity[:1]}{mark}{entity[1:]},{tenor},{spread}",
+                                  f"{date_[:5]}{mark}{date_[5:]},{entity},{tenor},{spread}",
+                                  f"{date_},{entity},{tenor},{spread[:1]}{mark}{spread[1:]}",
+                                  f"{date_},{entity},{tenor},{spread}{mark}"])
         elif kind == 2:
             ending = rng.choice(["\r\n", "\n\n", "", "\n \n"])
         elif kind == 3:
@@ -929,6 +957,28 @@ def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, 
     _assert_no_child_left()
     assert _rows(parse_panel(text)) == expected
     assert len(forks) == 2
+
+
+def _former_break_labels():
+    """Series whose entity and tenor labels hold each line break of
+    str.splitlines but LF and CR, which are ordinary characters."""
+    day = date(2010, 1, 4)
+    rows = [(day + timedelta(days=d), 40.0 + d) for d in range(8)]
+    return [SpreadSeries(f"E{k}{mark}x", f"{mark}5Y", rows) for k, mark in enumerate(_BREAKS[1:])]
+
+
+@pytest.mark.parametrize("forked", [False, pytest.param(True, marks=needs_fork)])
+def test_labels_holding_former_line_breaks_round_trip(forked, request, tmp_path):
+    series = _former_break_labels()
+    text = serialize_panel(series)
+    if forked:  # this process keeps only the first chunk: the child sends the other labels
+        forks = request.getfixturevalue("forks")
+        columnar, entries = _claims_logged(text, tmp_path, _stall("P"))
+        assert len(forks) == 1 and entries.count("P ok") == 1 and entries.count("C ok") > 10
+    else:
+        columnar = panel._parse_columns(text)
+    assert _rows(columnar) == _rows(series) == _rows(panel._parse_lines(text))
+    assert _rows(parse_panel(text)) == _rows(series)
 
 
 def _labels_that_sort_apart():

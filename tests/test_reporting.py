@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from datetime import date
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from benfordtrack.reporting import (
     canonical_json,
     roman,
 )
-from helpers import json_document, make_change_series, report_rows
+from helpers import json_document, make_change_series, report_rows, summed_trend
 
 
 # ---------------------------------------------------------------- roman
@@ -105,6 +106,18 @@ def test_fit_trend_r_squared_of_a_near_flat_series_matches_exact_arithmetic():
     want = float(sxy * sxy / (sxx * syy))
     assert 0.0 < want < 1e-6
     assert fit.r_squared == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_fit_trend_closed_forms_match_the_summed_form_bit_for_bit():
+    # the closed forms of the positions' mean and sxx are exact, as the summed
+    # ones are at these lengths, so every fit keeps its bits
+    rng = random.Random(30)
+    for n in [*range(2, 60), *range(60, 2001, 47), 2000]:
+        for values in ([7.25] * n, [0.5 + 0.125 * i for i in range(n)],
+                       [rng.lognormvariate(0.0, 2.0) for _ in range(n)]):
+            fit = fit_trend(values, "chi2")
+            got = [v.hex() for v in (fit.slope, fit.intercept, fit.r_squared)]
+            assert got == [v.hex() for v in summed_trend(values)], n
 
 
 def test_fit_trend_reads_the_requested_metric():
