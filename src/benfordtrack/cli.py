@@ -135,12 +135,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: str) -> str:
-    """The panel's bytes as UTF-8 text, file or stdin alike: no newline translation."""
+def _read_input(path: str) -> bytes:
+    """The panel's bytes, file or stdin alike: no newline translation and no decode, as
+    `parse_panel` decodes them chunk by chunk and frees them when passed straight in."""
     if path == "-":
-        return sys.stdin.buffer.read().decode("utf-8")
+        return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
+        return fh.read()
 
 
 def _write_output(path: str, text: str) -> None:

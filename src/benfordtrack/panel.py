@@ -17,7 +17,7 @@ import os
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ _LAST_DAY = np.datetime64(date.max, "D")
 _DAY_SPAN = date.max.toordinal() - date.min.toordinal() + 1
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_LONE_CR = re.compile(r"\r(?!\n)")  # faster than comparing counts of "\r" and "\r\n"
 
 
 class PanelFormatError(ValueError):
@@ -186,25 +185,30 @@ def _parse_row(line_no: int, line: str) -> tuple[date, str, str, float]:
     return when, entity, tenor, spread
 
 
-def parse_panel(text: str) -> list[SpreadSeries]:
-    """Parse panel CSV text into one SpreadSeries per (entity, tenor).
+def parse_panel(text: str | bytes) -> list[SpreadSeries]:
+    """Parse panel CSV text or its UTF-8 bytes into one SpreadSeries per (entity, tenor).
 
-    Rows may arrive in any order; each series comes back date-sorted
-    and the list is sorted by (entity, tenor).  A duplicate
-    (entity, tenor, date) triple is a hard error, as are nonpositive or
-    non-finite spreads.  Well-formed text is read as columns; any other
-    text goes to the line-by-line reference parser, which reports the
-    first offending line.  Text longer than one chunk is read with the
-    same results and errors by this process and a forked child, which
-    claim chunks from either end, where `os.fork` exists and two CPUs
-    are allowed (see `_parse_all`).  The CLI forks from one thread, as
-    its entry point defaults `OPENBLAS_NUM_THREADS` to 1 (an explicit
-    value wins); a caller that loads numpy itself may fork beside a BLAS
-    worker thread, which Python 3.12 and later may warn about
+    Rows may arrive in any order; each series comes back date-sorted and the
+    list is sorted by (entity, tenor).  A duplicate (entity, tenor, date)
+    triple is a hard error, as are nonpositive or non-finite spreads, and
+    bytes that are not UTF-8 raise as decoding them whole does.  Well-formed
+    text is read as columns, bytes decoded chunk by chunk; any other text
+    goes to the line-by-line reference parser, which reports the first
+    offending line.  The parse drops `text` before it builds the series, so
+    input passed straight in is freed by then (CPython 3.11 and
+    later).  Text longer than one chunk is read alike by this process and a
+    forked child, which claim chunks from either end, where `os.fork` exists
+    and two CPUs are allowed (see `_parse_all`).  The CLI forks from one
+    thread, as its entry point defaults `OPENBLAS_NUM_THREADS` to 1 (an
+    explicit value wins); a caller that loads numpy itself may fork beside a
+    BLAS worker thread, which Python 3.12 and later may warn about
     (DeprecationWarning, hidden by default).
     """
-    series = _parse_columns(text)
-    return _parse_lines(text) if series is None else series
+    packed = _parse_columns(text)
+    if packed is None:
+        return _parse_lines(text if isinstance(text, str) else text.decode("utf-8"))
+    del text  # the last reference to an input passed straight in
+    return packed.series()
 
 
 def _parse_lines(text: str) -> list[SpreadSeries]:
@@ -239,8 +243,13 @@ def _parse_lines(text: str) -> list[SpreadSeries]:
 # every byte but "," and "\n"; deleting them leaves a chunk's field layout
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
-_CHUNK = 1 << 17  # characters per columnar step; its per-field strings take about 9x that
+# LF, CR, a CR that ends a line alone, and the header, in a str and in UTF-8 bytes
+_MARKS = {True: ("\n", "\r", re.compile(r"\r(?!\n)"), PANEL_HEADER),
+          False: (b"\n", b"\r", re.compile(rb"\r(?!\n)"), PANEL_HEADER.encode())}
+
+_CHUNK = 1 << 17  # bytes (or str characters) per columnar step; its field strings take ~9x that
 _TOKENS = 512  # claim tokens at most, as a pipe holds PIPE_BUF (512 or more) bytes
+_BLOCK = 1 << 14  # rows per step of the passes over whole columns, to keep temporaries small
 
 
 class _Ids(dict):
@@ -252,79 +261,100 @@ class _Ids(dict):
 
 
 class _Days(dict):
-    """Date text -> days since 1970-01-01, parsed at its first lookup."""
+    """Date text -> days since 0001-01-01, parsed at its first lookup."""
 
     def __missing__(self, text: str) -> int:
-        self[text] = day = iso_date(text).toordinal() - _EPOCH_ORDINAL
+        self[text] = day = iso_date(text).toordinal() - 1
         return day
 
 
-def _parse_columns(text: str) -> list[SpreadSeries] | None:
-    """`_parse_lines` for well-formed text, built as columns, or None.
+class _Packed(NamedTuple):
+    """A parsed and checked panel: `keys` holds ``(series id * _DAY_SPAN + day) << shift
+    | row`` in sorted order, with the day counted from 0001-01-01 and the row's position in
+    `spreads`, which keeps the input's order; series id i is `labels[i]`."""
 
-    Works on chunks of whole lines: one `split` per chunk, dates parsed
-    once per distinct string, spreads by `float` and each row numbered
-    by its (entity, tenor) series in first-seen order, then one sort
-    orders the rows and one `_check_series` call checks them all.  CRLF
-    is read in place, as `float` strips the CR left on each spread; only
-    a text holding a lone CR is first folded to LF.  Trailing blank lines
-    hold no row.  Returns None, leaving the text to the line parser,
-    whenever it holds anything that parser treats specially or rejects:
-    an interior blank line, a comment or padded line, a line without
-    exactly four fields, an invalid date or spread, or a series that
-    `SpreadSeries` rejects: an empty label, a spread not positive and
-    finite, or a duplicate row (next to its twin once sorted).
+    labels: list
+    keys: np.ndarray
+    spreads: np.ndarray
+    shift: int
+
+    def series(self) -> list[SpreadSeries]:
+        """The series in `_parse_lines` order; call once, as the keys become dates in place."""
+        labels, keys, spreads, shift = self
+        ordered = np.empty_like(spreads)
+        for lo in range(0, len(keys), _BLOCK):
+            rows = keys[lo : lo + _BLOCK] & ((1 << shift) - 1)
+            np.take(spreads, rows, out=ordered[lo : lo + _BLOCK], mode="clip")  # "raise" buffers
+        keys >>= shift
+        bounds = keys.searchsorted(np.arange(len(labels) + 1) * _DAY_SPAN).tolist()
+        keys %= _DAY_SPAN
+        keys += _FIRST_DAY.astype(np.int64)
+        ordered.flags.writeable = False  # series hold views
+        # a read-only buffer, as views of the writable mapping could be made writable
+        dates = np.frombuffer(memoryview(keys).toreadonly(), "datetime64[D]")
+        series = [SpreadSeries.__new__(SpreadSeries) for _ in labels]
+        for s, (entity, tenor), lo, hi in zip(series, labels, bounds, bounds[1:]):
+            vars(s).update(entity=entity, tenor=tenor, dates=dates[lo:hi], spreads=ordered[lo:hi])
+        return sorted(series, key=lambda s: (s.entity, s.tenor))
+
+
+def _parse_columns(text: str | bytes) -> _Packed | None:
+    """`_parse_lines` for well-formed text or UTF-8 bytes, as a packed panel, or None.
+
+    Works on chunks of whole lines cut from `text` as given, a bytes
+    chunk decoded strictly: one `split` per chunk, dates parsed once per
+    distinct string, spreads by `float` and each row's (entity, tenor)
+    series, numbered in first-seen order, packed with its day into one
+    int64 key.  Then each key takes its row's position in its low bits,
+    one in-place sort orders the rows, and the `SpreadSeries` rules are
+    checked while the text is alive (days from `iso_date` are always in
+    range).  CRLF is read in place, as `float` strips the CR left on
+    each spread; only a text holding a lone CR is first folded to LF.
+    Trailing blank lines hold no row.  Returns None, leaving the text to
+    the line parser, whenever it holds anything that parser treats
+    specially or rejects: an interior blank line, a comment or padded
+    line, a line without exactly four fields, an invalid date or spread,
+    bytes that are not UTF-8, or a series that `SpreadSeries` rejects:
+    an empty label, a spread not positive and finite, or a duplicate row
+    (next to its twin once sorted); and for keys past int64.
     """
-    if "\r" in text and _LONE_CR.search(text):  # a lone CR ends a line
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not text.startswith((PANEL_HEADER + "\n", PANEL_HEADER + "\r\n")):
+    lf, cr, lone_cr, header = _MARKS[isinstance(text, str)]
+    if cr in text and lone_cr.search(text):  # a lone CR ends a line
+        text = text.replace(cr + lf, lf).replace(cr, lf)
+    if not text.startswith((header + lf, header + cr + lf)):
         return None
     series_ids = _Ids()
-    start, stop = text.index("\n") + 1, len(text)
-    while text.endswith(("\n", "\r"), 0, stop):
+    start, stop = text.index(lf) + 1, len(text)
+    while text.endswith((lf, cr), 0, stop):
         stop -= 1  # trailing blank lines hold no row
     spans, rows = [], 0  # (start, end, first row, end row) of each chunk of whole lines
     while start < stop:
-        end = stop if stop - start <= _CHUNK else text.rfind("\n", start, start + _CHUNK)
+        end = stop if stop - start <= _CHUNK else text.rfind(lf, start, start + _CHUNK)
         if end < 0:
             return None  # a line longer than a chunk
-        spans.append((start, end, rows, rows + text.count("\n", start, end) + 1))
+        spans.append((start, end, rows, rows + text.count(lf, start, end) + 1))
         rows, start = spans[-1][3], end + 1
     if not spans:
-        return []  # the header alone
+        return _Packed([], np.empty(0, np.int64), np.empty(0), 0)  # the header alone
     # one anonymous shared mapping per column, so a forked child fills its rows in place
-    order_key, days, spreads = (
-        np.frombuffer(mmap.mmap(-1, 8 * rows), dtype, rows)
-        for dtype in (np.int64, np.int64, np.float64)
-    )
-    if not _parse_all(text, spans, [order_key, days, spreads], series_ids):
+    keys, spreads = (np.frombuffer(mmap.mmap(-1, 8 * rows), t, rows) for t in (np.int64, float))
+    if not _parse_all(text, spans, [keys, spreads], series_ids):
         return None
-    # the id column becomes the (series id, date) key in place, one
-    # integer that fits int64 for up to 2.5e12 series
-    order_key *= _DAY_SPAN
-    order_key += days
-    del days  # free each column after its last read, to keep the peak low
-    order_key -= _FIRST_DAY.astype(np.int64)
-    order = np.argsort(order_key)  # unique keys, if accepted: any sort gives this order
-    keys = order_key[order]
-    del order_key
-    spreads = spreads[order]
-    del order
-    days = keys % _DAY_SPAN + _FIRST_DAY.astype(np.int64)
-    keys //= _DAY_SPAN  # the series id of each sorted row
-    days.flags.writeable = spreads.flags.writeable = False  # series hold views
-    dates = days.view("datetime64[D]")
-    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
-    names = list(series_ids)  # in id order
-    labels = [names[key] for key in keys[bounds[:-1]].tolist()]
-    try:
-        _check_series(labels, dates, spreads, bounds)
-    except ValueError:
-        return None
-    series = [SpreadSeries.__new__(SpreadSeries) for _ in labels]
-    for s, (entity, tenor), lo, hi in zip(series, labels, bounds, bounds[1:]):
-        vars(s).update(entity=entity, tenor=tenor, dates=dates[lo:hi], spreads=spreads[lo:hi])
-    return sorted(series, key=lambda s: (s.entity, s.tenor))  # the order of `_parse_lines`
+    labels = list(series_ids)  # in id order
+    shift = (rows - 1).bit_length()
+    if (len(labels) * _DAY_SPAN) << shift > 1 << 63:
+        return None  # a key would not fit int64
+    keys <<= shift
+    for lo in range(0, rows, _BLOCK):
+        keys[lo : lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, rows))
+    keys.sort()  # in place: unique keys, so any sort gives this order
+    for lo in range(0, rows, _BLOCK):
+        days = keys[lo : lo + _BLOCK + 1] >> shift  # (series id, day): a repeat is a duplicate
+        if not (days[1:] > days[:-1]).all():
+            return None
+    if not all(map(all, labels)):
+        return None  # an empty label; the layout check leaves no comma or line break in one
+    return _Packed(labels, keys, spreads, shift)
 
 
 def _two_cpus() -> bool:
@@ -333,7 +363,7 @@ def _two_cpus() -> bool:
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) > 1
 
 
-def _parse_spans(text: str, spans: list, chunks: Iterable[int], columns: list[np.ndarray],
+def _parse_spans(text: str | bytes, spans: list, chunks: Iterable[int], columns: list[np.ndarray],
                  series_ids: _Ids) -> int | None:
     """Parse the chunks numbered by `chunks` into their rows of `columns`: returns
     how many it parsed, or None at the first chunk that is not well-formed."""
@@ -346,7 +376,7 @@ def _parse_spans(text: str, spans: list, chunks: Iterable[int], columns: list[np
     return parsed
 
 
-def _parse_all(text: str, spans: list, columns: list[np.ndarray], series_ids: _Ids) -> bool:
+def _parse_all(text: str | bytes, spans: list, columns: list, series_ids: _Ids) -> bool:
     """`_parse_spans` over every chunk, with a forked child where two CPUs are allowed.
 
     Each process claims a run of chunks by reading one of the tokens put
@@ -406,33 +436,42 @@ def _parse_all(text: str, spans: list, columns: list[np.ndarray], series_ids: _I
         tail = columns[0][spans[parsed][2] :]
         lines = labels.decode("utf-8", "surrogatepass").split("\n")
         remap = np.array([series_ids[tuple(line.split(","))] for line in lines], np.int64)
-        np.take(remap, tail, out=tail, mode="clip")  # in place; "raise" would copy
+        for lo in range(0, len(tail), _BLOCK):
+            ids, days = np.divmod(tail[lo : lo + _BLOCK], _DAY_SPAN)
+            tail[lo : lo + _BLOCK] = remap[ids] * _DAY_SPAN + days
     return True
 
 
-def _parse_chunk(chunk: str, out: list[np.ndarray], series_ids: _Ids, day_of: _Days) -> bool:
-    """Fill `out` with the series ids, days and spreads of whole lines.
+def _parse_chunk(chunk: str | bytes, out: list, series_ids: _Ids, day_of: _Days) -> bool:
+    """Fill `out` with the keys (series id and day) and spreads of whole lines.
 
     Returns False, leaving `out` partly filled, when a line is not
-    well-formed.  Its per-field strings die on return, so one chunk's
-    are alive at a time.
+    well-formed or a bytes chunk is not UTF-8.  Its per-field strings
+    die on return, so one chunk's are alive at a time.
     """
     rows = len(out[0])
-    layout = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
-    if layout != b",,,\n" * (rows - 1) + b",,,":
+    raw = chunk if isinstance(chunk, bytes) else chunk.encode("utf-8", "surrogatepass")
+    if raw.translate(None, _NOT_SEPARATORS) != b",,,\n" * (rows - 1) + b",,,":
         return False  # some line has other than four fields
-    fields = chunk.replace("\n", ",").split(",")
+    try:
+        text = chunk if isinstance(chunk, str) else chunk.decode("utf-8")
+    except UnicodeDecodeError:
+        return False  # the line parser's whole decode raises it, placed in the whole text
+    fields = text.replace("\n", ",").split(",")
     dates, entities, tenors, spreads = (fields[i::4] for i in range(4))
     if "_" in "".join(spreads):
         return False
-    series_out, days_out, spreads_out = out
+    keys_out, spreads_out = out
     try:
-        days_out[:] = np.fromiter(map(day_of.__getitem__, dates), np.int64, rows)
+        days = np.fromiter(map(day_of.__getitem__, dates), np.int64, rows)
         spreads_out[:] = np.fromiter(map(float, spreads), np.float64, rows)
     except ValueError:
         return False  # an invalid date or spread
+    if not ((spreads_out > 0.0) & (spreads_out < np.inf)).all():
+        return False
     # zip reuses its tuple for a key already numbered, so no per-row object is built
-    series_out[:] = np.fromiter(map(series_ids.__getitem__, zip(entities, tenors)), np.int64, rows)
+    ids = np.fromiter(map(series_ids.__getitem__, zip(entities, tenors)), np.int64, rows)
+    keys_out[:] = ids * _DAY_SPAN + days
     return True
 
 

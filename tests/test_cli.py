@@ -361,7 +361,7 @@ def test_files_and_stdin_are_read_alike(ending, tmp_path, monkeypatch):
     path = tmp_path / "endings.csv"
     path.write_bytes(text.encode())
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
-    assert _read_input(str(path)) == _read_input("-") == text
+    assert _read_input(str(path)) == _read_input("-") == text.encode()
     assert serialize_panel(parse_panel(text)) == "".join(line + "\n" for line in lines)
 
 

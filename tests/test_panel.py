@@ -6,6 +6,7 @@ import os
 import random
 import re
 import signal
+import sys
 import time
 import tracemalloc
 import types
@@ -59,6 +60,13 @@ def test_parse_groups_and_sorts():
 def _rows(series):
     """Every field of a series list, so results compare by value."""
     return [(s.entity, s.tenor, s.dates.tolist(), s.spreads.tolist()) for s in series]
+
+
+def _columnar(text):
+    """The series the columnar parser reads from `text`, or None where it
+    leaves the text to the line parser."""
+    packed = panel._parse_columns(text)
+    return None if packed is None else packed.series()
 
 
 def test_parse_skips_blank_and_comment_lines():
@@ -513,9 +521,9 @@ def test_columnar_parse_spans_chunks(monkeypatch):
     text = _sovereign_panel(entities=4, n=300)
     expected = _rows(panel._parse_lines(text))
     monkeypatch.setattr(panel, "_CHUNK", 997)  # chunks end mid-line
-    assert _rows(panel._parse_columns(text)) == expected
+    assert _rows(_columnar(text)) == expected
     monkeypatch.setattr(panel, "_CHUNK", 20)  # shorter than a line
-    assert panel._parse_columns(text) is None
+    assert _columnar(text) is None
 
 
 class _TracedMapping(mmap.mmap):
@@ -558,7 +566,7 @@ def test_crlf_panel_is_read_in_place_as_columns(monkeypatch):
     # CRLF header and rows and two trailing CRLF blank lines, over about 28
     # chunks: no folded copy of the text, so the LF gate holds
     text = _sovereign_panel(entities=50, n=999)
-    expected = _rows(panel._parse_columns(text))
+    expected = _rows(_columnar(text))
     crlf = text.replace("\n", "\r\n") + "\r\n\r\n"
     assert crlf.startswith(panel.PANEL_HEADER + "\r\n") and len(crlf) > 20 * panel._CHUNK
 
@@ -569,6 +577,30 @@ def test_crlf_panel_is_read_in_place_as_columns(monkeypatch):
     series, _, peak = _traced_parse(monkeypatch, crlf)
     assert _rows(series) == expected
     assert peak <= 40 * 100_000
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="on 3.10 the caller's stack keeps a call's arguments alive")
+def test_bytes_passed_straight_in_are_freed_before_the_gather(monkeypatch):
+    text = _sovereign_panel(entities=50, n=999)
+    size, series, at_gather = len(text.encode()), panel._Packed.series, []
+
+    def gather(packed):
+        at_gather.append(tracemalloc.get_traced_memory()[0])
+        return series(packed)
+
+    monkeypatch.setattr(panel._Packed, "series", gather)
+    monkeypatch.setattr(panel, "mmap", types.SimpleNamespace(mmap=_TracedMapping))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_panel(text.encode())  # parse_panel holds the only reference
+    finally:
+        tracemalloc.stop()
+    assert _rows(parsed) == _rows(panel._parse_lines(text))
+    # the two parse columns (16 bytes a row) are alive at the gather, the bytes
+    # (37 bytes a row) are not
+    assert at_gather[0] - before < size
 
 
 def test_parsed_columns_are_views_that_stay_read_only():
@@ -654,7 +686,7 @@ def _compare_parsers(text):
     """The outcome both parsers give `text`, and whether it was read as columns."""
     reference = _outcome(panel._parse_lines, text)
     assert _outcome(parse_panel, text) == reference, text
-    columnar = panel._parse_columns(text)
+    columnar = _columnar(text)
     if columnar is not None:
         assert _rows(columnar) == reference, text
     return reference, columnar is not None
@@ -755,7 +787,7 @@ def test_forked_parse_matches_the_line_parser_on_mutated_panels(forks):
 
 
 def _claims_logged(text, tmp_path, hold, hold_claims=lambda me, entries: False):
-    """`_parse_columns(text)`, each process logging its chunks to one file.
+    """`_columnar(text)`, each process logging its chunks to one file.
 
     Entries name the process ("P" for this one, "C" for the forked child):
     "start" before its first chunk, "ok" or "bad" after each chunk and
@@ -801,7 +833,7 @@ def _claims_logged(text, tmp_path, hold, hold_claims=lambda me, entries: False):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(panel, "_parse_chunk", chunk)
         patch.setattr(panel, "_parse_spans", spans)
-        result = panel._parse_columns(text)
+        result = _columnar(text)
     return result, entries()
 
 
@@ -844,7 +876,8 @@ def test_forked_parse_reads_labels_first_seen_in_the_child(forks, tmp_path, endi
 @pytest.mark.parametrize("defect", ["duplicate", "empty_entity", "zero_spread"])
 def test_series_rules_catch_a_defect_in_the_childs_rows(forks, tmp_path, defect):
     # this process keeps only the first chunk, so the defect is in the
-    # child's rows alone, and it is left to `SpreadSeries` at the sort
+    # child's rows alone: the child's chunk check rejects a spread that is
+    # not positive, and the checks after the sort the other two
     lines = _sovereign_panel(entities=6, n=8).splitlines()
     i = len(lines) - 3
     day, entity, tenor, spread = lines[i].split(",")
@@ -861,7 +894,10 @@ def test_series_rules_catch_a_defect_in_the_childs_rows(forks, tmp_path, defect)
     assert columnar is None
     assert len(forks) == 1
     assert entries.count("P ok") == 1 and "P bad" not in entries
-    assert entries.count("C ok") > 10 and "C bad" not in entries
+    if defect == "zero_spread":
+        assert "C bad" in entries
+    else:
+        assert entries.count("C ok") > 10 and "C bad" not in entries
     message = {"duplicate": "duplicate observation", "empty_entity": "empty entity",
                "zero_spread": "nonpositive spread '0'"}[defect]
     assert reference[0] == i + 1 and message in reference[1]
@@ -959,6 +995,78 @@ def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, 
     assert len(forks) == 2
 
 
+_DIFF_ENTITIES = ("DE", "Z\u00e9", "\u65e5\u672c", "x\U0001f600", "A\u2028B")
+# a Latin-1 byte, a lone byte that never starts a character, and the UTF-8
+# forms of a high and a low surrogate, which a strict decode rejects
+_NOT_UTF8 = (b"\xe9", b"\xff", b"\xed\xa0\x80", b"\xed\xb2\x80")
+
+
+@st.composite
+def _panel_bytes(draw):
+    """Panel bytes with non-ASCII labels, rows in any order, LF, CRLF and
+    lone CR endings and trailing blank lines; now and then a duplicate
+    row, a spread of 0, nan or inf, or bytes that are not UTF-8 at the
+    start of a field after the first."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 59), st.sampled_from(_DIFF_ENTITIES),
+                                    st.sampled_from(("5Y", "10Y"))), unique=True, min_size=4, max_size=50))
+    rows = [[str(date(2010, 1, 1) + timedelta(day)), entity, tenor,
+             repr(draw(st.floats(0.01, 1e4)))] for day, entity, tenor in cells]
+    defect = draw(st.sampled_from((None, None, "duplicate", "0", "nan", "inf")))
+    if rows and defect == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    elif rows and defect is not None:
+        draw(st.sampled_from(rows))[3] = defect
+    endings = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=1, max_size=2))
+    lines = [panel.PANEL_HEADER, *map(",".join, rows), *[""] * draw(st.integers(0, 2))]
+    data = "".join(line + draw(st.sampled_from(endings)) for line in lines).encode()
+    bad = draw(st.sampled_from((None, None, *_NOT_UTF8)))
+    if bad is not None:
+        at = draw(st.sampled_from([m.end() for m in re.finditer(b",", data)]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+def _bits(parse, text):
+    """Each series `parse(text)` gives, its dates and spreads as bits, or the
+    type and message of the error it raises."""
+    try:
+        series = parse(text)
+    except (PanelFormatError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(s.entity, s.tenor, s.dates.view(np.int64).tolist(),
+             s.spreads.view(np.int64).tolist()) for s in series]
+
+
+@needs_fork
+def test_bytes_text_and_line_parsers_agree(forks, monkeypatch):
+    # bytes that are not UTF-8 must raise as decoding them whole does, with
+    # the position counted from the start of the input, not of a chunk
+    seen = {"forked_columnar": 0, "rejected": 0, "not_utf8": 0, "not_utf8_label": 0}
+    series, gathered = panel._Packed.series, []
+    monkeypatch.setattr(panel._Packed, "series", lambda packed: gathered.append(1) or series(packed))
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=_panel_bytes())
+    def check(data):
+        try:
+            reference = _bits(panel._parse_lines, data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            assert _bits(parse_panel, data) == ("UnicodeDecodeError", str(exc))
+            seen["not_utf8"] += 1
+            # a bad label in an otherwise valid panel
+            text = data.decode("utf-8", "surrogatepass" if b"\xed" in data else "replace")
+            seen["not_utf8_label"] += isinstance(_bits(panel._parse_lines, text), list)
+            return
+        before, count = len(forks), len(gathered)
+        assert _bits(parse_panel, data) == reference
+        seen["forked_columnar"] += len(forks) > before and len(gathered) > count
+        seen["rejected"] += isinstance(reference, tuple)
+        assert _bits(parse_panel, data.decode("utf-8")) == reference
+
+    check()
+    assert min(seen.values()) > 10, seen
+
+
 def _former_break_labels():
     """Series whose entity and tenor labels hold each line break of
     str.splitlines but LF and CR, which are ordinary characters."""
@@ -976,7 +1084,7 @@ def test_labels_holding_former_line_breaks_round_trip(forked, request, tmp_path)
         columnar, entries = _claims_logged(text, tmp_path, _stall("P"))
         assert len(forks) == 1 and entries.count("P ok") == 1 and entries.count("C ok") > 10
     else:
-        columnar = panel._parse_columns(text)
+        columnar = _columnar(text)
     assert _rows(columnar) == _rows(series) == _rows(panel._parse_lines(text))
     assert _rows(parse_panel(text)) == _rows(series)
 
@@ -1027,5 +1135,5 @@ def test_serial_parse_gives_the_forked_rows(forks, monkeypatch, limit):
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", _no_fork)
-    assert _rows(panel._parse_columns(text)) == expected
+    assert _rows(_columnar(text)) == expected
     assert len(forks) == 1
