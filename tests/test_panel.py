@@ -996,8 +996,8 @@ def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, 
 
 
 _DIFF_ENTITIES = ("DE", "Z\u00e9", "\u65e5\u672c", "x\U0001f600", "A\u2028B")
-# a Latin-1 byte, a lone byte that never starts a character, and the UTF-8
-# forms of a high and a low surrogate, which a strict decode rejects
+# a Latin-1 byte, a byte UTF-8 never uses, and the UTF-8 forms of a high and
+# a low surrogate, which only a strict decode rejects
 _NOT_UTF8 = (b"\xe9", b"\xff", b"\xed\xa0\x80", b"\xed\xb2\x80")
 
 
@@ -1007,14 +1007,15 @@ def _panel_bytes(draw):
     lone CR endings and trailing blank lines; now and then a duplicate
     row, a spread of 0, nan or inf, or bytes that are not UTF-8 at the
     start of a field after the first."""
-    cells = draw(st.lists(st.tuples(st.integers(0, 59), st.sampled_from(_DIFF_ENTITIES),
-                                    st.sampled_from(("5Y", "10Y"))), unique=True, min_size=4, max_size=50))
+    cell = st.tuples(st.integers(0, 59), st.sampled_from(_DIFF_ENTITIES),
+                     st.sampled_from(("5Y", "10Y")))
+    cells = draw(st.lists(cell, unique=True, min_size=4, max_size=50))
     rows = [[str(date(2010, 1, 1) + timedelta(day)), entity, tenor,
              repr(draw(st.floats(0.01, 1e4)))] for day, entity, tenor in cells]
     defect = draw(st.sampled_from((None, None, "duplicate", "0", "nan", "inf")))
-    if rows and defect == "duplicate":
+    if defect == "duplicate":
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
-    elif rows and defect is not None:
+    elif defect is not None:
         draw(st.sampled_from(rows))[3] = defect
     endings = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=1, max_size=2))
     lines = [panel.PANEL_HEADER, *map(",".join, rows), *[""] * draw(st.integers(0, 2))]
@@ -1039,11 +1040,12 @@ def _bits(parse, text):
 
 @needs_fork
 def test_bytes_text_and_line_parsers_agree(forks, monkeypatch):
-    # bytes that are not UTF-8 must raise as decoding them whole does, with
-    # the position counted from the start of the input, not of a chunk
+    # the fixture's small chunks fork the parse of most of these panels; bytes
+    # that are not UTF-8 must raise as decoding them whole does, with the
+    # position counted from the start of the input, not of a chunk
     seen = {"forked_columnar": 0, "rejected": 0, "not_utf8": 0, "not_utf8_label": 0}
     series, gathered = panel._Packed.series, []
-    monkeypatch.setattr(panel._Packed, "series", lambda packed: gathered.append(1) or series(packed))
+    monkeypatch.setattr(panel._Packed, "series", lambda p: gathered.append(1) or series(p))
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(data=_panel_bytes())
@@ -1053,7 +1055,8 @@ def test_bytes_text_and_line_parsers_agree(forks, monkeypatch):
         except UnicodeDecodeError as exc:
             assert _bits(parse_panel, data) == ("UnicodeDecodeError", str(exc))
             seen["not_utf8"] += 1
-            # a bad label in an otherwise valid panel
+            # bad bytes in a label of an otherwise valid panel, which a chunk
+            # decode that let them through would accept
             text = data.decode("utf-8", "surrogatepass" if b"\xed" in data else "replace")
             seen["not_utf8_label"] += isinstance(_bits(panel._parse_lines, text), list)
             return
