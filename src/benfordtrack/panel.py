@@ -243,7 +243,7 @@ def _parse_lines(text: str) -> list[SpreadSeries]:
 # every byte but "," and "\n"; deleting them leaves a chunk's field layout
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
-# LF, CR, a CR that ends a line alone, and the header, in a str and in UTF-8 bytes
+# LF, CR, a CR that ends a line alone, and the header: in a str (True) and in UTF-8 bytes
 _MARKS = {True: ("\n", "\r", re.compile(r"\r(?!\n)"), PANEL_HEADER),
           False: (b"\n", b"\r", re.compile(rb"\r(?!\n)"), PANEL_HEADER.encode())}
 
@@ -456,7 +456,7 @@ def _parse_chunk(chunk: str | bytes, out: list, series_ids: _Ids, day_of: _Days)
     try:
         text = chunk if isinstance(chunk, str) else chunk.decode("utf-8")
     except UnicodeDecodeError:
-        return False  # the line parser's whole decode raises it, placed in the whole text
+        return False  # the line parser's whole decode raises it, at its place in the input
     fields = text.replace("\n", ",").split(",")
     dates, entities, tenors, spreads = (fields[i::4] for i in range(4))
     if "_" in "".join(spreads):
@@ -468,7 +468,7 @@ def _parse_chunk(chunk: str | bytes, out: list, series_ids: _Ids, day_of: _Days)
     except ValueError:
         return False  # an invalid date or spread
     if not ((spreads_out > 0.0) & (spreads_out < np.inf)).all():
-        return False
+        return False  # a spread that is not positive and finite
     # zip reuses its tuple for a key already numbered, so no per-row object is built
     ids = np.fromiter(map(series_ids.__getitem__, zip(entities, tenors)), np.int64, rows)
     keys_out[:] = ids * _DAY_SPAN + days

@@ -556,9 +556,8 @@ def test_parsed_panel_keeps_columns_not_row_objects(monkeypatch):
     assert sum(len(s.spreads) for s in series) == rows
     # two 8-byte columns per row, plus a little per series
     assert retained <= 32 * rows
-    # three 8-byte parse columns per row plus one chunk's strings (38.0 bytes
-    # per row measured), then at most four 8-byte columns per row during the
-    # sort (a fifth column alive there measured 40.2)
+    # two 8-byte parse columns per row plus one chunk's strings (31.7 bytes
+    # per row measured), then three 8-byte columns per row at the gather
     assert peak <= 40 * rows
 
 
