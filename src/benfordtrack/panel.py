@@ -194,8 +194,8 @@ def parse_panel(text: str | bytes) -> list[SpreadSeries]:
     bytes that are not UTF-8 raise as decoding them whole does.  Well-formed
     text is read as columns, bytes decoded chunk by chunk; any other text
     goes to the line-by-line reference parser, which reports the first
-    offending line.  The parse drops `text` before it builds the series, so
-    input passed straight in is freed by then (CPython 3.11 and
+    offending line.  The columnar parse drops `text` before it builds the
+    series, so input passed straight in is freed by then (CPython 3.11 and
     later).  Text longer than one chunk is read alike by this process and a
     forked child, which claim chunks from either end, where `os.fork` exists
     and two CPUs are allowed (see `_parse_all`).  The CLI forks from one
