@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from datetime import date
 
 from . import __version__
@@ -135,15 +136,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: str) -> bytes:
-    """The panel's bytes, file or stdin alike: no newline translation and no decode, as
-    `parse_panel` decodes them chunk by chunk and frees them when passed straight in."""
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _write_output(path: str, text: str) -> None:
     data = text.encode("utf-8")  # a lone surrogate from argv fails before any output
     if path == "-":
@@ -162,7 +154,8 @@ def _closed_pipe() -> int:
 
 
 def _load_changes(args):
-    series = parse_panel(_read_input(args.input))
+    with nullcontext(sys.stdin.buffer) if args.input == "-" else open(args.input, "rb") as fh:
+        series = parse_panel(fh)
     tenors = set(args.tenor) if args.tenor else None
     kept = [s for s in series if tenors is None or s.tenor in tenors]
     return [

@@ -15,9 +15,11 @@ import math
 import mmap
 import os
 import re
+import stat
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -94,7 +96,7 @@ class SpreadSeries:
         return series
 
     def _store(self, entity: str, tenor: str, dates: np.ndarray, spreads: np.ndarray) -> None:
-        _check_series([(entity, tenor)], dates, spreads, [0, dates.size])
+        _check_series(entity, tenor, dates, spreads)
         for column in (dates, spreads):
             column.flags.writeable = False
         vars(self).update(entity=entity, tenor=tenor, dates=dates, spreads=spreads)
@@ -140,18 +142,14 @@ class ChangeSeries:
         )
 
 
-def _check_series(labels: list, dates: np.ndarray, spreads: np.ndarray, bounds) -> None:
-    """Raise ValueError unless each series laid end to end in the columns keeps the
-    `SpreadSeries` rules; series i is `labels[i]` on rows `bounds[i]` to `bounds[i + 1]`."""
-    for name, names in zip(("entity", "tenor"), zip(*labels)):
-        for label in dict.fromkeys(names):  # each distinct label once
-            if not label or any(mark in label for mark in ",\n\r"):
-                raise ValueError(f"{name} {label!r} is empty or holds a comma or line break")
+def _check_series(entity: str, tenor: str, dates: np.ndarray, spreads: np.ndarray) -> None:
+    """Raise ValueError unless the series keeps the `SpreadSeries` rules."""
+    for name, label in (("entity", entity), ("tenor", tenor)):
+        if not label or any(mark in label for mark in ",\n\r"):
+            raise ValueError(f"{name} {label!r} is empty or holds a comma or line break")
     if dates.ndim != 1 or dates.shape != spreads.shape:
         raise ValueError("dates and spreads must be 1-D columns of equal length")
-    increasing = dates[1:] > dates[:-1]  # np.diff would build a timedelta column
-    increasing[np.asarray(bounds[1:-1], np.intp) - 1] = True  # where one series ends
-    if not increasing.all():
+    if not (dates[1:] > dates[:-1]).all():  # np.diff would build a timedelta column
         raise ValueError("observation dates must be strictly increasing")
     if len(dates) and not (_FIRST_DAY <= dates.min() and dates.max() <= _LAST_DAY):
         raise ValueError("observation dates must lie within years 1 to 9999")
@@ -185,30 +183,44 @@ def _parse_row(line_no: int, line: str) -> tuple[date, str, str, float]:
     return when, entity, tenor, spread
 
 
-def parse_panel(text: str | bytes) -> list[SpreadSeries]:
-    """Parse panel CSV text or its UTF-8 bytes into one SpreadSeries per (entity, tenor).
+def parse_panel(source: str | bytes | BinaryIO) -> list[SpreadSeries]:
+    """Parse panel CSV into one SpreadSeries per (entity, tenor), sorted by both.
 
-    Rows may arrive in any order; each series comes back date-sorted and the
-    list is sorted by (entity, tenor).  A duplicate (entity, tenor, date)
+    `source` is text, its UTF-8 bytes or a binary file read from where it
+    stands: a regular file by `os.pread` of a chunk at a time, never whole,
+    and any other (a pipe, `io.BytesIO`) whole.  Rows may come in any
+    order; each series is date-sorted.  A duplicate (entity, tenor, date)
     triple is a hard error, as are nonpositive or non-finite spreads, and
-    bytes that are not UTF-8 raise as decoding them whole does.  Well-formed
-    text is read as columns, bytes decoded chunk by chunk; any other text
-    goes to the line-by-line reference parser, which reports the first
-    offending line.  The columnar parse drops `text` before it builds the
-    series, so input passed straight in is freed by then (CPython 3.11 and
-    later).  Text longer than one chunk is read alike by this process and a
-    forked child, which claim chunks from either end, where `os.fork` exists
-    and two CPUs are allowed (see `_parse_all`).  The CLI forks from one
-    thread, as its entry point defaults `OPENBLAS_NUM_THREADS` to 1 (an
-    explicit value wins); a caller that loads numpy itself may fork beside a
-    BLAS worker thread, which Python 3.12 and later may warn about
-    (DeprecationWarning, hidden by default).
+    bytes that are not UTF-8 raise as decoding them whole does.
+    Well-formed input is read as columns, bytes decoded chunk by chunk; any
+    other is read whole by the line-by-line reference parser, which reports
+    the first offending line.  The columnar parse drops `source` before it
+    builds the series, so text passed straight in is freed by then (CPython
+    3.11 and later).  Input longer than one chunk is read alike by this
+    process and a forked child where `os.fork` exists and two CPUs are
+    allowed (see `_parse_all`).  The CLI forks from one thread (README:
+    `OPENBLAS_NUM_THREADS`); a caller that loads numpy itself may fork
+    beside a BLAS worker thread, which Python 3.12 and later may warn about.
     """
-    packed = _parse_columns(text)
+    read, start, stop = _reader(source)
+    packed = _parse_columns(read, start, stop)
     if packed is None:
+        text = read(start, stop)
         return _parse_lines(text if isinstance(text, str) else text.decode("utf-8"))
-    del text  # the last reference to an input passed straight in
+    del source, read  # the last references to an input passed straight in
     return packed.series()
+
+
+def _reader(source: str | bytes | BinaryIO) -> tuple[Callable[[int, int], str | bytes], int, int]:
+    """`read(start, end)` of the input's text or bytes, and where the input starts and ends."""
+    if not isinstance(source, (str, bytes)):
+        with suppress(OSError):  # io.BytesIO has no descriptor, and a pipe no position
+            st = os.fstat(fd := source.fileno())
+            if stat.S_ISREG(st.st_mode) and hasattr(os, "pread"):
+                base = source.tell()  # past the end, the input is empty
+                return (lambda lo, hi: os.pread(fd, hi - lo, lo)), base, max(base, st.st_size)
+        source = source.read()  # a file that cannot be read in place
+    return (lambda start, end: source[start:end]), 0, len(source)
 
 
 def _parse_lines(text: str) -> list[SpreadSeries]:
@@ -242,10 +254,6 @@ def _parse_lines(text: str) -> list[SpreadSeries]:
 
 # every byte but "," and "\n"; deleting them leaves a chunk's field layout
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
-
-# LF, CR, a CR that ends a line alone, and the header: in a str (True) and in UTF-8 bytes
-_MARKS = {True: ("\n", "\r", re.compile(r"\r(?!\n)"), PANEL_HEADER),
-          False: (b"\n", b"\r", re.compile(rb"\r(?!\n)"), PANEL_HEADER.encode())}
 
 _CHUNK = 1 << 17  # bytes (or str characters) per columnar step; its field strings take ~9x that
 _TOKENS = 512  # claim tokens at most, as a pipe holds PIPE_BUF (512 or more) bytes
@@ -298,47 +306,52 @@ class _Packed(NamedTuple):
         return sorted(series, key=lambda s: (s.entity, s.tenor))
 
 
-def _parse_columns(text: str | bytes) -> _Packed | None:
-    """`_parse_lines` for well-formed text or UTF-8 bytes, as a packed panel, or None.
+def _parse_columns(read: Callable, base: int, size: int) -> _Packed | None:
+    """`_parse_lines` for well-formed input from `base` to `size`, as a packed panel, or None.
 
-    Works on chunks of whole lines cut from `text` as given, a bytes
-    chunk decoded strictly: one `split` per chunk, dates parsed once per
-    distinct string, spreads by `float` and each row's (entity, tenor)
-    series, numbered in first-seen order, packed with its day into one
-    int64 key.  Then each key takes its row's position in its low bits,
-    one in-place sort orders the rows, and the `SpreadSeries` rules are
-    checked while the text is alive (days from `iso_date` are always in
-    range).  CRLF is read in place, as `float` strips the CR left on
-    each spread; only a text holding a lone CR is first folded to LF.
-    Trailing blank lines hold no row.  Returns None, leaving the text to
-    the line parser, whenever it holds anything that parser treats
-    specially or rejects: an interior blank line, a comment or padded
-    line, a line without exactly four fields, an invalid date or spread,
-    bytes that are not UTF-8, or a series that `SpreadSeries` rejects:
-    an empty label, a spread not positive and finite, or a duplicate row
-    (next to its twin once sorted); and for keys past int64.
+    Works on chunks of whole lines got by `read`, a bytes chunk decoded
+    strictly: one `split` per chunk, dates parsed once per distinct
+    string, spreads by `float` and each row's (entity, tenor) series,
+    numbered in first-seen order, packed with its day into one int64 key.
+    Then each key takes its row's position in its low bits, one in-place
+    sort orders the rows, and the `SpreadSeries` rules are checked while
+    the input is alive (days from `iso_date` are always in range).  One
+    pass before the parse reads each chunk and the byte after it, to cut
+    chunks at line ends and find a lone CR, which has the whole input read
+    and folded to LF; CRLF is read in place, as `float` strips the CR left
+    on each spread.  Trailing blank lines (a chunk of them) hold no row.
+    Returns None, leaving the input to the line parser, for anything that
+    parser treats specially or rejects: an interior blank, comment or padded
+    line, a line without four fields, an invalid date or spread, bytes that
+    are not UTF-8, or a series that `SpreadSeries` rejects (an empty label,
+    a spread not positive and finite, a duplicate row); and for keys past
+    int64.
     """
-    lf, cr, lone_cr, header = _MARKS[isinstance(text, str)]
-    if cr in text and lone_cr.search(text):  # a lone CR ends a line
-        text = text.replace(cr + lf, lf).replace(cr, lf)
-    if not text.startswith((header + lf, header + cr + lf)):
+    head = read(base, base + len(PANEL_HEADER) + 2)
+    lf, cr, header = ("\n", "\r", PANEL_HEADER) if isinstance(head, str) else (
+        b"\n", b"\r", PANEL_HEADER.encode())
+    if head.startswith(header + cr) and not head.startswith(header + cr + lf):
+        return _parse_folded(read(base, size))  # the header ends with a lone CR
+    if not head.startswith((header + lf, header + cr + lf)):
         return None
-    series_ids = _Ids()
-    start, stop = text.index(lf) + 1, len(text)
-    while text.endswith((lf, cr), 0, stop):
-        stop -= 1  # trailing blank lines hold no row
+    start, tail = base + head.index(lf) + 1, read(max(base, size - _CHUNK), size)
+    stop = size - len(tail) + len(tail.rstrip(lf + cr))  # trailing blank lines hold no row
     spans, rows = [], 0  # (start, end, first row, end row) of each chunk of whole lines
     while start < stop:
-        end = stop if stop - start <= _CHUNK else text.rfind(lf, start, start + _CHUNK)
+        piece = read(start, min(stop, start + _CHUNK + 1))  # a chunk and the byte after it
+        end = len(piece) if stop - start <= _CHUNK else piece.rfind(lf, 0, _CHUNK)
+        if cr in piece and piece.count(cr, 0, _CHUNK) > piece.count(cr + lf):
+            return _parse_folded(read(base, size))  # a lone CR ends a line
         if end < 0:
             return None  # a line longer than a chunk
-        spans.append((start, end, rows, rows + text.count(lf, start, end) + 1))
-        rows, start = spans[-1][3], end + 1
+        spans.append((start, start + end, rows, rows + piece.count(lf, 0, end) + 1))
+        rows, start = spans[-1][3], start + end + 1
     if not spans:
         return _Packed([], np.empty(0, np.int64), np.empty(0), 0)  # the header alone
     # one anonymous shared mapping per column, so a forked child fills its rows in place
     keys, spreads = (np.frombuffer(mmap.mmap(-1, 8 * rows), t, rows) for t in (np.int64, float))
-    if not _parse_all(text, spans, [keys, spreads], series_ids):
+    series_ids = _Ids()
+    if not _parse_all(read, spans, [keys, spreads], series_ids):
         return None
     labels = list(series_ids)  # in id order
     shift = (rows - 1).bit_length()
@@ -357,13 +370,19 @@ def _parse_columns(text: str | bytes) -> _Packed | None:
     return _Packed(labels, keys, spreads, shift)
 
 
+def _parse_folded(text: str | bytes) -> _Packed | None:
+    """`_parse_columns` of the whole input with each CRLF and lone CR folded to LF."""
+    lf, cr = ("\n", "\r") if isinstance(text, str) else (b"\n", b"\r")
+    return _parse_columns(*_reader(text.replace(cr + lf, lf).replace(cr, lf)))
+
+
 def _two_cpus() -> bool:
     """Whether a forked child can parse on a CPU of its own."""
     affinity = getattr(os, "sched_getaffinity", None)
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) > 1
 
 
-def _parse_spans(text: str | bytes, spans: list, chunks: Iterable[int], columns: list[np.ndarray],
+def _parse_spans(read: Callable, spans: list, chunks: Iterable[int], columns: list[np.ndarray],
                  series_ids: _Ids) -> int | None:
     """Parse the chunks numbered by `chunks` into their rows of `columns`: returns
     how many it parsed, or None at the first chunk that is not well-formed."""
@@ -371,12 +390,12 @@ def _parse_spans(text: str | bytes, spans: list, chunks: Iterable[int], columns:
     for parsed, k in enumerate(chunks, 1):
         start, end, lo, hi = spans[k]
         out = [column[lo:hi] for column in columns]
-        if not _parse_chunk(text[start:end], out, series_ids, day_of):
+        if not _parse_chunk(read(start, end), out, series_ids, day_of):
             return None
     return parsed
 
 
-def _parse_all(text: str | bytes, spans: list, columns: list, series_ids: _Ids) -> bool:
+def _parse_all(read: Callable, spans: list, columns: list, series_ids: _Ids) -> bool:
     """`_parse_spans` over every chunk, with a forked child where two CPUs are allowed.
 
     Each process claims a run of chunks by reading one of the tokens put
@@ -391,7 +410,7 @@ def _parse_all(text: str | bytes, spans: list, columns: list, series_ids: _Ids) 
     """
     every = range(len(spans))
     if len(spans) < 2 or not _two_cpus():
-        return _parse_spans(text, spans, every, columns, series_ids) is not None
+        return _parse_spans(read, spans, every, columns, series_ids) is not None
     runs, fds = np.array_split(every, min(len(spans), _TOKENS)), []  # one run per token
     try:
         fds += os.pipe()
@@ -402,7 +421,7 @@ def _parse_all(text: str | bytes, spans: list, columns: list, series_ids: _Ids) 
     except OSError:  # no descriptor or process to spare: parse here alone
         for fd in fds:
             os.close(fd)
-        return _parse_spans(text, spans, every, columns, series_ids) is not None
+        return _parse_spans(read, spans, every, columns, series_ids) is not None
     claims, read_end, write_end = fds
     if pid == 0:
         code = 1
@@ -410,7 +429,7 @@ def _parse_all(text: str | bytes, spans: list, columns: list, series_ids: _Ids) 
             os.close(read_end)
             with open(write_end, "wb") as pipe:
                 back = (k for run in runs[::-1] if os.read(claims, 1) for k in run)
-                taken = _parse_spans(text, spans, back, columns, series_ids)
+                taken = _parse_spans(read, spans, back, columns, series_ids)
                 while taken is None and os.read(claims, _TOKENS):
                     pass  # stops the parent at its next claim
                 if taken is not None:
@@ -423,7 +442,7 @@ def _parse_all(text: str | bytes, spans: list, columns: list, series_ids: _Ids) 
     try:
         with open(read_end, "rb") as pipe:
             front = (k for run in runs if os.read(claims, 1) for k in run)
-            parsed = _parse_spans(text, spans, front, columns, series_ids)
+            parsed = _parse_spans(read, spans, front, columns, series_ids)
             labels = pipe.read() if parsed is not None else b""
     finally:
         while os.read(claims, _TOKENS):

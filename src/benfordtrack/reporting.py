@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,8 @@ TRACK_COLUMNS = (
 )
 
 TREND_METRICS = ("chi2", "chebyshev", "kl")
+
+_ROWS = 1024  # rows per block of `_row_blocks`
 
 _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"),
@@ -207,6 +209,15 @@ def _cells(values: Sequence, formats: Mapping, fallback=str) -> list[str]:
     return [formats.get(type(v), fallback)(v) for v in values]
 
 
+def _row_blocks(columns: Mapping[str, list], names: Sequence[str], row, sep: str,
+                formats: Mapping, fallback=str) -> Iterator[str]:
+    """The rows of the `names` columns, `row` of each one's cells and `sep` between rows,
+    as blocks of `_ROWS` rows to concatenate, so one block's cells are alive at a time."""
+    for lo in range(0, len(columns[names[0]]) if names else 0, _ROWS):
+        cells = [_cells(columns[k][lo : lo + _ROWS], formats, fallback) for k in names]
+        yield (sep if lo else "") + sep.join(map(row, zip(*cells)))
+
+
 def _render_text(columns: Mapping[str, list]) -> str:
     padded = []
     for name, values in columns.items():
@@ -218,9 +229,8 @@ def _render_text(columns: Mapping[str, list]) -> str:
 
 
 def _render_csv(columns: Mapping[str, list]) -> str:
-    cells = [_cells(values, _CSV_CELL) for values in columns.values()]
-    lines = [",".join(columns), *map(",".join, zip(*cells))]
-    return "\n".join(lines) + "\n"
+    rows = [*_row_blocks(columns, list(columns), ",".join, "\n", _CSV_CELL)]
+    return "".join([",".join(columns), "\n", *rows, "\n" if rows else ""])
 
 
 def canonical_json(doc) -> str:
@@ -256,17 +266,15 @@ def _nested_json(value) -> str:
 def _render_json(columns: Mapping[str, list], meta: Mapping, trends) -> str:
     """canonical_json of {"meta", "rows", "trends"} with rows as key -> cell.
 
-    Cells are formatted column by column and each row fills one template
-    whose keys are sorted once, so the rows never become dicts; `meta`
-    and `trends` go through canonical_json.
+    Each row fills one template whose keys are sorted once, so the rows
+    never become dicts; `meta` and `trends` go through canonical_json.
     """
     keys = sorted(columns)
     names = [json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in keys]
     template = "    {\n" + ",\n".join(f"      {k}: %s" for k in names) + "\n    }"
-    rows = list(zip(*(_cells(columns[k], _JSON_CELL, _not_json) for k in keys)))
+    rows = [*_row_blocks(columns, keys, template.__mod__, ",\n", _JSON_CELL, _not_json)]
     parts = ['{\n  "meta": ', _nested_json(dict(meta)), ',\n  "rows": ']
-    body = ",\n".join(template % row for row in rows)
-    parts += ["[\n", body, "\n  ]"] if rows else ["[]"]
+    parts += ["[\n", *rows, "\n  ]"] if rows else ["[]"]
     if trends is not None:
         nested = {}
         for entity, tenor, fit in trends:

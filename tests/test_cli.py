@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -20,7 +21,7 @@ from benfordtrack import (
     synth_panel,
     window_ranges,
 )
-from benfordtrack.cli import _read_input, main
+from benfordtrack.cli import main
 from benfordtrack.panel import _CHUNK
 from helpers import cli_env, kernel_digests
 
@@ -353,16 +354,53 @@ def test_analyze_reads_stdin(panel_path, capsys, monkeypatch):
     assert len(out.splitlines()) == 6
 
 
-@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
-def test_files_and_stdin_are_read_alike(ending, tmp_path, monkeypatch):
-    # neither path translates newlines, so the parse sees the bytes as written
-    lines = ["date,entity,tenor,spread_bps", "2010-01-04,X,5Y,1.5", "2010-01-05,X,5Y,2.5"]
-    text = "".join(line + ending for line in lines)
-    path = tmp_path / "endings.csv"
-    path.write_bytes(text.encode())
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
-    assert _read_input(str(path)) == _read_input("-") == text.encode()
-    assert serialize_panel(parse_panel(text)) == "".join(line + "\n" for line in lines)
+def _panel_variant(kind: str) -> bytes:
+    """A panel about ten parse chunks of 997 bytes long, written as `kind` says."""
+    series = [synth_panel(SynthSpec("benford", 150, k), entity=e) for k, e in enumerate("AB")]
+    lines = serialize_panel(series).splitlines()
+    if kind == "comment":
+        lines.insert(1, "# note")
+    elif kind == "padded":
+        lines[5] += " "
+    elif kind == "not_utf8":  # a Latin-1 byte in the last rows
+        lines[-3] = lines[-3].replace("B", "Z\udce9")
+    ending = {"crlf": "\r\n", "lone_cr": "\r"}.get(kind, "\n")
+    return "".join(line + ending for line in lines).encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("kind", ["lf", "crlf", "lone_cr", "comment", "padded", "not_utf8"])
+def test_files_and_stdin_are_read_alike(kind, tmp_path, monkeypatch, capsys):
+    # a path and stdin, each a regular file (read in place) or not (read whole),
+    # give the same bytes, exit code and stderr: the parse sees the bytes as written
+    monkeypatch.setattr("benfordtrack.panel._CHUNK", 997)
+    data = _panel_variant(kind)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(data)
+    argv = ["analyze", "--format", "csv"]
+    outcomes = [run_cli([*argv, "--input", str(path)], capsys)]
+    with open(path, "rb") as fh:
+        monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=fh))
+        outcomes.append(run_cli(argv, capsys))
+    monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(data)))
+    outcomes.append(run_cli(argv, capsys))
+    if os.path.isdir("/dev/fd"):  # a pipe's path, as from <(cat panel.csv)
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)  # less than a pipe holds
+        os.close(write_end)
+        try:
+            outcomes.append(run_cli([*argv, "--input", f"/dev/fd/{read_end}"], capsys))
+        finally:
+            os.close(read_end)
+    assert outcomes == [outcomes[0]] * len(outcomes)
+    code, out, err = outcomes[0]
+    if kind == "not_utf8":
+        position = data.index(b"\xe9")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: 'utf-8' codec can't decode byte 0xe9 in position {position}")
+    else:
+        (path.parent / "lf.csv").write_bytes(_panel_variant("lf"))
+        expected = run_cli([*argv, "--input", str(path.parent / "lf.csv")], capsys)
+        assert (code, out, err) == expected and code == 0 and len(out.splitlines()) == 11
 
 
 def test_analyze_tenor_filter(panel_path, capsys):

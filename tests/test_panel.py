@@ -1,5 +1,6 @@
 """Panel CSV parsing, serialization, daily changes and slicing."""
 
+import io
 import math
 import mmap
 import os
@@ -65,7 +66,7 @@ def _rows(series):
 def _columnar(text):
     """The series the columnar parser reads from `text`, or None where it
     leaves the text to the line parser."""
-    packed = panel._parse_columns(text)
+    packed = panel._parse_columns(*panel._reader(text))
     return None if packed is None else packed.series()
 
 
@@ -412,8 +413,7 @@ def _breaks_a_rule(entity, tenor, days, spreads):
 
 @st.composite
 def _end_to_end_series(draw):
-    """1-5 series whose dates often start at or before the previous series'
-    last date; about half break one rule: a repeated or decreasing date, a
+    """1-5 series; about half break one rule: a repeated or decreasing date, a
     bad label, a nonpositive or NaN spread, or a date outside years 1 to 9999."""
     series = []
     for k in range(draw(st.integers(1, 5))):
@@ -437,34 +437,26 @@ def _end_to_end_series(draw):
 
 @settings(max_examples=400)
 @given(series=_end_to_end_series())
-def test_one_check_over_a_panel_raises_exactly_when_a_series_alone_does(series):
-    alone = []
+def test_the_series_check_raises_exactly_when_a_rule_breaks(series):
     for entity, tenor, days, spreads in series:
         try:
             SpreadSeries.from_columns(entity, tenor, np.array(days, "datetime64[D]"), spreads)
-            alone.append(False)
+            raised = False
         except ValueError:
-            alone.append(True)
-    assert alone == [_breaks_a_rule(*s) for s in series]
-    bounds = np.cumsum([0, *(len(days) for _, _, days, _ in series)]).tolist()
-    dates = np.concatenate([np.array(days, "datetime64[D]") for _, _, days, _ in series])
-    spreads = np.concatenate([spreads for *_, spreads in series]).astype(np.float64)
-    try:
-        panel._check_series([s[:2] for s in series], dates, spreads, bounds)
-        together = False
-    except ValueError:
-        together = True
-    assert together == any(alone)
+            raised = True
+        assert raised == _breaks_a_rule(entity, tenor, days, spreads)
 
 
-def test_a_series_may_start_before_the_previous_one_ends():
-    dates = np.array(["2010-01-04", "2010-01-05", "2010-01-05", "2010-01-06", "2009-12-31",
-                      "2010-01-01"], "datetime64[D]")
-    labels = [("A", "5Y"), ("B", "5Y"), ("C", "5Y")]
-    panel._check_series(labels, dates, np.ones(6), [0, 2, 4, 6])
-    for bounds in ([0, 3, 4, 6], [0, 2, 5, 6]):  # a series holding a repeat or a drop
-        with pytest.raises(ValueError, match="strictly increasing"):
-            panel._check_series(labels, dates, np.ones(6), bounds)
+@pytest.mark.parametrize("parse", [parse_panel, _columnar, panel._parse_lines])
+def test_a_series_may_start_before_the_previous_one_ends(parse):
+    # B starts on A's last day and C before B's; rows come in A, B, C order
+    days = {"A": ["2010-01-04", "2010-01-05"], "B": ["2010-01-05", "2010-01-06"],
+            "C": ["2009-12-31", "2010-01-01"]}
+    alone = [SpreadSeries.from_columns(e, "5Y", np.array(d, "datetime64[D]"), [1.5, 2.5])
+             for e, d in days.items()]
+    together = parse(serialize_panel(alone))
+    assert _rows(together) == [row for s in alone for row in _rows(parse(serialize_panel([s])))]
+    assert _rows(together) == _rows(alone)
 
 
 _LABEL = st.text(st.characters(exclude_characters=_NOT_IN_LABELS), min_size=1)
@@ -1139,3 +1131,71 @@ def test_serial_parse_gives_the_forked_rows(forks, monkeypatch, limit):
         monkeypatch.setattr(os, "fork", _no_fork)
     assert _rows(_columnar(text)) == expected
     assert len(forks) == 1
+
+
+# ------------------------------------------------------------- files
+
+@pytest.mark.parametrize("cpus", [{0}, pytest.param({0, 1}, marks=needs_fork)])
+def test_a_regular_file_is_read_a_chunk_at_a_time(cpus, monkeypatch, tmp_path):
+    text = _sovereign_panel(entities=10, n=999)
+    path, log = tmp_path / "panel.csv", tmp_path / "reads.log"
+    path.write_text(text, encoding="utf-8")
+    assert path.stat().st_size > 4 * panel._CHUNK
+    expected, pread = _rows(panel._parse_lines(text)), os.pread
+
+    def logged(fd, n, offset):  # each process appends, so the child's reads count too
+        with open(log, "a") as out:
+            out.write(f"{n}\n")
+        return pread(fd, n, offset)
+
+    def refuse(text):
+        raise AssertionError("line parser called on a well-formed file")
+
+    monkeypatch.setattr(os, "pread", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(panel, "_parse_lines", refuse)
+    with open(path, "rb") as fh:
+        assert _rows(parse_panel(fh)) == expected
+    _assert_no_child_left()
+    sizes = list(map(int, log.read_text().split()))
+    assert max(sizes) <= panel._CHUNK + 1
+    # the last chunk, and each chunk once to cut the chunks and once to parse it
+    assert sum(sizes) <= 2 * len(text) + 2 * panel._CHUNK
+
+
+@pytest.mark.parametrize("opener", ["file", "bytesio"])
+@pytest.mark.parametrize("defect", [None, "not_utf8"])
+def test_a_file_is_parsed_from_its_position(opener, defect, monkeypatch, tmp_path):
+    # a regular file is read in place from tell(), which counts what the buffered
+    # reader holds; any other file from where it stands
+    monkeypatch.setattr(panel, "_CHUNK", 997)
+    data = _sovereign_panel(entities=3, n=100).encode()
+    if defect == "not_utf8":
+        data = data[:-50] + b"\xe9" + data[-50:]
+    prefix = b"not,a,panel\n" * 3
+    path = tmp_path / "panel.csv"
+    path.write_bytes(prefix + data)
+    with open(path, "rb") as fh:
+        source = fh if opener == "file" else io.BytesIO(prefix + data)
+        assert source.read(len(prefix)) == prefix
+        assert _bits(parse_panel, source) == _bits(parse_panel, data)
+        source.seek(len(prefix + data) + 10)
+        assert _bits(parse_panel, source) == _bits(parse_panel, b"")
+    assert (_bits(parse_panel, data)[0] == "UnicodeDecodeError") == (defect is not None)
+
+
+def test_the_chunk_pass_folds_a_lone_cr_and_only_a_lone_cr(monkeypatch):
+    # at every chunk length some CRLF falls at a chunk's edge
+    lines = _sovereign_panel(entities=2, n=20).splitlines()
+    crlf = "\r\n".join(lines) + "\r\n"
+    lone = "\r\n".join(lines[:30]) + "\r" + "\r\n".join(lines[30:]) + "\r\n"
+    expected, folded, parse_folded = _rows(panel._parse_lines(crlf)), [], panel._parse_folded
+    monkeypatch.setattr(panel, "_parse_folded", lambda text: folded.append(1) or parse_folded(text))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert max(map(len, lines)) < 48
+    for length in range(48, 112):
+        monkeypatch.setattr(panel, "_CHUNK", length)
+        for text, folds in ((crlf, 0), (lone, 1), (crlf.encode(), 0), (lone.encode(), 1)):
+            folded.clear()
+            assert _rows(_columnar(text)) == expected
+            assert len(folded) == folds

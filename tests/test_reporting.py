@@ -525,6 +525,25 @@ def test_json_rows_equal_the_dict_document(build):
     assert emit(report, "json") == json_document(report)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_render_alike_in_blocks_of_any_size(fmt, monkeypatch):
+    panel = [
+        make_change_series(list(generate(SynthSpec("benford", 400, s))), entity=e)
+        for s, e in ((1, "AT"), (2, "BE"), (3, "CY"))
+    ]
+    report = build_track_report(panel, WindowSpec())
+    whole, cells, formatted = emit(report, fmt), reporting._cells, []
+    assert len(report.columns["entity"]) == 24
+    if fmt == "json":
+        assert whole == json_document(report)
+    monkeypatch.setattr(reporting, "_cells", lambda v, *a: formatted.append(len(v)) or cells(v, *a))
+    for rows in (1, 5, 23, 24, 25):
+        monkeypatch.setattr(reporting, "_ROWS", rows)
+        formatted.clear()
+        assert emit(report, fmt) == whole
+        assert max(formatted) == min(rows, 24)  # one block's cells at a time
+
+
 @pytest.mark.parametrize("trends", [(), None], ids=["trends", "no-trends"])
 def test_json_cells_equal_the_dict_document(trends):
     floats = [-0.0, 5e-324, 1e308, 0.1 + 0.2, -1.5, 12.0]
