@@ -220,7 +220,7 @@ def _reader(source: str | bytes | BinaryIO) -> tuple[Callable[[int, int], str | 
                 base = source.tell()  # past the end, the input is empty
                 return (lambda lo, hi: os.pread(fd, hi - lo, lo)), base, max(base, st.st_size)
         source = source.read()  # a file that cannot be read in place
-    return (lambda start, end: source[start:end]), 0, len(source)
+    return (lambda lo, hi: source[lo:hi]), 0, len(source)
 
 
 def _parse_lines(text: str) -> list[SpreadSeries]:
