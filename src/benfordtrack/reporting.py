@@ -172,24 +172,25 @@ def build_track_report(
     A window is dated by the first and last date of its range.  The rows
     carry measurements only, no verdict, so no significance level is
     taken.  The windows of all series are measured in one conformity
-    call.  Trend fits need at least two windows; a series yielding a
-    single window contributes rows but no trends.
+    call, which is fed one series' histograms at a time.  Trend fits
+    need at least two windows; a series yielding a single window
+    contributes rows but no trends.
     """
-    windows = [(s, track(s, spec)) for s in _by_key(series)]
-    stats = conformity([h for _, histograms in windows for h in histograms])
+    ordered = _by_key(series)
+    stats = conformity(h for s in ordered for h in track(s, spec))
     columns = {name: [] for name in TRACK_COLUMNS[:5]}
     columns.update((name, getattr(stats, name)) for name in TRACK_COLUMNS[5:])
     trends = []
-    for s, histograms in windows:
-        span = slice(len(columns["entity"]), len(columns["entity"]) + len(histograms))
+    for s in ordered:
         bounds = [(r.start, r.stop - 1) for r in window_ranges(len(s.changes), spec)]
+        span = slice(len(columns["entity"]), len(columns["entity"]) + len(bounds))
         starts, ends = np.datetime_as_string(s.dates[np.array(bounds).T]).tolist()
         columns["entity"] += [s.entity] * len(bounds)
         columns["tenor"] += [s.tenor] * len(bounds)
         columns["window"] += range(1, len(bounds) + 1)
         columns["start_date"] += starts
         columns["end_date"] += ends
-        if len(histograms) >= 2:
+        if len(bounds) >= 2:
             for metric in TREND_METRICS:
                 trends.append((s.entity, s.tenor, fit_trend(columns[metric][span], metric)))
     return Report(columns, dict(meta or {}), tuple(trends))

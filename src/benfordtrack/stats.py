@@ -5,16 +5,17 @@ chi-square goodness-of-fit statistic with 8 degrees of freedom (9 digit
 bins minus 1) together with its upper-tail p-value in closed form, the
 Chebyshev (maximum absolute) distance between frequency vectors, and
 the Kullback-Leibler divergence of the observed frequencies from the
-reference.  `conformity` measures any number of histograms at once and
-returns one columnar `ConformityStats` table, its columns named as the
-report columns they fill.
+reference.  `conformity` measures any number of histograms, 1,024 at a
+time, and returns one columnar `ConformityStats` table, its columns
+named as the report columns they fill.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +31,8 @@ _REF.flags.writeable = _LOG_REF.flags.writeable = False
 # the usual chi-square validity floor of 5 (110, as 109 * P(9) = 4.988);
 # results on smaller samples are flagged rather than suppressed.
 SMALL_SAMPLE_MIN = math.ceil(5.0 / _REF[-1])
+
+_ROWS = 1024  # histograms measured per block of `conformity`
 
 
 @dataclass(frozen=True)
@@ -69,20 +72,13 @@ def _chi_square_tail(stat) -> np.ndarray:
     return np.minimum(half * (1.0 + s * (0.5 + s * (0.125 + s / 48.0))) * half, 1.0)
 
 
-def conformity(histograms: Sequence[DigitHistogram], alpha: float = 0.05) -> ConformityStats:
-    """Conformity of each digit histogram at level `alpha`, as one table.
+def _measure(histograms: list[DigitHistogram], totals: list[int], alpha: float) -> ConformityStats:
+    """The rows of `conformity` for histograms of nonzero `totals`, in one pass.
 
-    The verdict is "accept" exactly when the p-value is at least alpha.
-    Samples smaller than SMALL_SAMPLE_MIN are flagged, never dropped.
     The measures reduce the rows of one (k x 9) count matrix, so each
     row has the bits of its histogram measured alone.  KL sums all nine
     terms p * (ln p - ln q), an absent digit's term being 0.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    totals = [h.total for h in histograms]
-    if 0 in totals:
-        raise ValueError("empty sample")
     counts = np.array([h.counts for h in histograms], dtype=float).reshape(len(totals), 9)
     scale = np.array(totals, dtype=float)[:, None]
     freq = counts / scale
@@ -101,3 +97,31 @@ def conformity(histograms: Sequence[DigitHistogram], alpha: float = 0.05) -> Con
         kl=(freq * (log_freq - _LOG_REF)).sum(axis=-1).tolist(),
         small_sample=[n < SMALL_SAMPLE_MIN for n in totals],
     )
+
+
+def conformity(histograms: Iterable[DigitHistogram], alpha: float = 0.05) -> ConformityStats:
+    """Conformity of each digit histogram at level `alpha`, as one table.
+
+    The verdict is "accept" exactly when the p-value is at least alpha.
+    Samples smaller than SMALL_SAMPLE_MIN are flagged, never dropped.
+    `histograms` may be any iterable; it is measured 1,024 rows at a
+    time and each block's columns extend the table's, so only one
+    block's temporaries are alive.  A histogram with no digit raises
+    `ValueError("empty sample")`, but only once the iterable is
+    consumed, so an error the iterable raises itself comes first.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    table = ConformityStats([], [], [], [], [], [], [])
+    empty = False
+    rows = iter(histograms)
+    while block := list(islice(rows, _ROWS)):
+        totals = [h.total for h in block]
+        empty = empty or 0 in totals
+        if not empty:
+            part = _measure(block, totals, alpha)
+            for name, column in vars(table).items():
+                column += getattr(part, name)
+    if empty:
+        raise ValueError("empty sample")
+    return table

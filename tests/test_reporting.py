@@ -275,6 +275,9 @@ def test_build_track_report_measures_the_panel_in_one_call(monkeypatch):
     calls = []
 
     def counted(histograms, alpha=0.05):
+        # the windows come as a stream, one series' histograms at a time
+        assert not isinstance(histograms, list)
+        histograms = list(histograms)
         calls.append(len(histograms))
         return conformity(histograms, alpha)
 
@@ -285,6 +288,21 @@ def test_build_track_report_measures_the_panel_in_one_call(monkeypatch):
     assert calls == [153]
     assert len(report_rows(report)) == 153
     assert len(report.trends) == 12
+
+
+def test_build_track_report_raises_the_first_error_of_the_panel_in_key_order():
+    # 30 series of 38 windows span two conformity blocks; the first holds
+    # a window of only zero changes, and the last by key, listed first,
+    # is too short to window.  Its error wins, as every window is read
+    # before a histogram without digits is reported.
+    values = [list(generate(SynthSpec("benford", 1750, seed))) for seed in range(30)]
+    values[0][:90] = [0.0] * 90
+    panel = [make_change_series(v, entity=f"E{i:02d}") for i, v in enumerate(values)]
+    short = make_change_series(values[1][:20], entity="ZZ")
+    with pytest.raises(ValueError, match="^series too short for windowing$"):
+        build_track_report([short] + panel)
+    with pytest.raises(ValueError, match="^empty sample$"):
+        build_track_report(panel)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -400,6 +401,60 @@ def test_conformity_columns_hold_k_python_scalars(batch):
     for name, column in _columns(table).items():
         assert type(column) is list and len(column) == len(batch) == len(table), name
         assert all(type(v) is kinds[name] for v in column), name
+
+
+def _seeded_histograms(k: int) -> list[DigitHistogram]:
+    """k multinomial samples of the reference law, of 1 to 399 digits each."""
+    rng = np.random.Generator(np.random.PCG64(2600))
+    draws = rng.multinomial(rng.integers(1, 400, size=k), benford_pmf())
+    return list(map(DigitHistogram, map(tuple, draws.tolist())))
+
+
+def test_conformity_blocks_keep_the_bits_of_each_histogram_alone():
+    # 2,600 rows are two full blocks of 1,024 and a partial third one
+    histograms = _seeded_histograms(2600)
+    singles = [_columns(conformity([h], 0.01)) for h in histograms]
+    want = ConformityStats(**{name: [v for one in singles for v in one[name]] for name in singles[0]})
+    _assert_same_bits(conformity(histograms, 0.01), want)
+    _assert_same_bits(conformity((h for h in histograms), 0.01), want)
+
+
+def test_conformity_raises_empty_sample_once_its_input_is_consumed():
+    histograms = _seeded_histograms(3500)
+    histograms[2100] = DigitHistogram((0,) * 9, excluded=90)  # in the third of four blocks
+    drawn = []
+
+    def stream():
+        for h in histograms:
+            drawn.append(h)
+            yield h
+
+    with pytest.raises(ValueError, match="empty sample"):
+        conformity(stream())
+    assert drawn == histograms
+
+    def failing():
+        yield from histograms
+        raise ValueError("series too short for windowing")
+
+    # an error the input raises itself comes first
+    with pytest.raises(ValueError, match="too short"):
+        conformity(failing())
+
+
+def test_conformity_holds_one_block_of_temporaries():
+    def transient(k: int) -> int:
+        histograms = _seeded_histograms(k)
+        tracemalloc.start()
+        try:
+            table = conformity(iter(histograms))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == k
+        return peak - current  # the peak above the table returned
+
+    assert transient(8192) <= 1.25 * transient(2048)
 
 
 # Rejection rates at alpha 0.05 and 0.01, from 400,000 multinomial samples
