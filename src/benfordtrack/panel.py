@@ -196,9 +196,9 @@ def parse_panel(source: str | bytes | BinaryIO) -> list[SpreadSeries]:
     other is read whole by the line-by-line reference parser, which reports
     the first offending line.  The columnar parse drops `source` before it
     builds the series, so text passed straight in is freed by then (CPython
-    3.11 and later).  Input longer than one chunk is read alike by this
-    process and a forked child where `os.fork` exists and two CPUs are
-    allowed (see `_parse_all`).  The CLI forks from one thread (README:
+    3.11 and later).  Input longer than one chunk is read half by this
+    process and half by a forked child where `os.fork` exists and two CPUs
+    are allowed (see `_parse_all`).  The CLI forks from one thread (README:
     `OPENBLAS_NUM_THREADS`); a caller that loads numpy itself may fork
     beside a BLAS worker thread, which Python 3.12 and later may warn about.
     """
@@ -256,7 +256,6 @@ def _parse_lines(text: str) -> list[SpreadSeries]:
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 _CHUNK = 1 << 17  # bytes (or str characters) per columnar step; its field strings take ~9x that
-_TOKENS = 512  # claim tokens at most, as a pipe holds PIPE_BUF (512 or more) bytes
 _BLOCK = 1 << 14  # rows per step of the passes over whole columns, to keep temporaries small
 
 
@@ -382,82 +381,71 @@ def _two_cpus() -> bool:
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) > 1
 
 
-def _parse_spans(read: Callable, spans: list, chunks: Iterable[int], columns: list[np.ndarray],
-                 series_ids: _Ids) -> int | None:
-    """Parse the chunks numbered by `chunks` into their rows of `columns`: returns
-    how many it parsed, or None at the first chunk that is not well-formed."""
-    day_of, parsed = _Days(), 0
-    for parsed, k in enumerate(chunks, 1):
-        start, end, lo, hi = spans[k]
+def _parse_spans(read: Callable, spans: list, columns: list[np.ndarray], series_ids: _Ids,
+                 stop: mmap.mmap) -> bool:
+    """Parse the chunks `spans`, in the order given, into their rows of `columns`: False,
+    setting the one-byte `stop`, at the first chunk that is not well-formed or once it is set."""
+    day_of = _Days()
+    for start, end, lo, hi in spans:
         out = [column[lo:hi] for column in columns]
-        if not _parse_chunk(read(start, end), out, series_ids, day_of):
-            return None
-    return parsed
+        if stop[0] or not _parse_chunk(read(start, end), out, series_ids, day_of):
+            stop[0] = 1
+            return False
+    return True
 
 
 def _parse_all(read: Callable, spans: list, columns: list, series_ids: _Ids) -> bool:
     """`_parse_spans` over every chunk, with a forked child where two CPUs are allowed.
 
-    Each process claims a run of chunks by reading one of the tokens put
-    in a pipe before the fork, this one from the front and the child from
-    the back, so the child fills the tail of the shared `columns` after
-    this one's chunks.  One that meets a chunk that is not well-formed
-    drains the tokens, so the other stops at its next claim.  The child
-    sends only one ``entity,tenor`` line per series (labels hold no comma
-    or LF) and leaves by `os._exit`; this process renumbers the
-    tail's series with its own ids and always reaps the child.  Returns
-    False for a bad chunk or a child exit status other than 0.
+    This process parses the first ``half = len(spans) // 2`` chunks in order and
+    the child the rest from the last one back, so it meets a defect in the last
+    chunk first; the child's rows of the shared `columns` start at chunk `half`'s
+    first row.  One that meets a chunk that is not well-formed sets the stop
+    byte, shared like the columns, so the other stops before its next chunk.
+    The child sends only one ``entity,tenor`` line per series (labels hold no
+    comma or LF) and leaves by `os._exit`; this process renumbers the tail's
+    series with its own ids and always reaps the child.  Returns False for a
+    bad chunk or a child exit status other than 0.
     """
-    every = range(len(spans))
+    stop = mmap.mmap(-1, 1)  # made here, so no parse sees a byte set by an earlier one
     if len(spans) < 2 or not _two_cpus():
-        return _parse_spans(read, spans, every, columns, series_ids) is not None
-    runs, fds = np.array_split(every, min(len(spans), _TOKENS)), []  # one run per token
+        return _parse_spans(read, spans, columns, series_ids, stop)
+    half, fds = len(spans) // 2, []
     try:
-        fds += os.pipe()
-        os.write(fds[1], bytes(len(runs)))  # fewer bytes than a pipe holds: never blocks
-        os.close(fds.pop())
         fds += os.pipe()
         pid = os.fork()
     except OSError:  # no descriptor or process to spare: parse here alone
         for fd in fds:
             os.close(fd)
-        return _parse_spans(read, spans, every, columns, series_ids) is not None
-    claims, read_end, write_end = fds
+        return _parse_spans(read, spans, columns, series_ids, stop)
+    read_end, write_end = fds
     if pid == 0:
         code = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                back = (k for run in runs[::-1] if os.read(claims, 1) for k in run)
-                taken = _parse_spans(read, spans, back, columns, series_ids)
-                while taken is None and os.read(claims, _TOKENS):
-                    pass  # stops the parent at its next claim
-                if taken is not None:
-                    labels = "\n".join(map(",".join, series_ids))
-                    pipe.write(labels.encode("utf-8", "surrogatepass"))
-            code = 0 if taken is not None else 1  # only once the pipe has flushed the labels
+                ok = _parse_spans(read, spans[half:][::-1], columns, series_ids, stop)
+                labels = "\n".join(map(",".join, series_ids)) if ok else ""
+                pipe.write(labels.encode("utf-8", "surrogatepass"))
+            code = 0 if ok else 1  # only once the pipe has flushed the labels
         finally:
             os._exit(code)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            front = (k for run in runs if os.read(claims, 1) for k in run)
-            parsed = _parse_spans(read, spans, front, columns, series_ids)
-            labels = pipe.read() if parsed is not None else b""
+            ok = _parse_spans(read, spans[:half], columns, series_ids, stop)
+            labels = pipe.read() if ok else b""
     finally:
-        while os.read(claims, _TOKENS):
-            pass  # a parse that stopped early stops the child at its next claim
-        os.close(claims)
+        stop[0] = 1  # a parse here that stopped early or raised stops the child
         status = os.waitpid(pid, 0)[1]  # the pipe is closed: a child still sending stops
-    if parsed is None or status != 0:
+    if not ok or status != 0:
         return False
-    if parsed < len(spans):  # the child's rows follow this process's chunks
-        tail = columns[0][spans[parsed][2] :]
-        lines = labels.decode("utf-8", "surrogatepass").split("\n")
-        remap = np.array([series_ids[tuple(line.split(","))] for line in lines], np.int64)
-        for lo in range(0, len(tail), _BLOCK):
-            ids, days = np.divmod(tail[lo : lo + _BLOCK], _DAY_SPAN)
-            tail[lo : lo + _BLOCK] = remap[ids] * _DAY_SPAN + days
+    tail = columns[0][spans[half][2] :]
+    lines = labels.decode("utf-8", "surrogatepass").split("\n")
+    remap = np.array([series_ids[tuple(line.split(","))] for line in lines], np.int64)
+    for lo in range(0, len(tail), _BLOCK):
+        ids, days = np.divmod(tail[lo : lo + _BLOCK], _DAY_SPAN)
+        tail[lo : lo + _BLOCK] = remap[ids] * _DAY_SPAN + days
     return True
 
 

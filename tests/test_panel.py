@@ -777,19 +777,19 @@ def test_forked_parse_matches_the_line_parser_on_mutated_panels(forks):
     assert min(outcomes.values()) > 50, outcomes
 
 
-def _claims_logged(text, tmp_path, hold, hold_claims=lambda me, entries: False):
+def _chunks_logged(text, tmp_path, hold=lambda me, entries: False):
     """`_columnar(text)`, each process logging its chunks to one file.
 
     Entries name the process ("P" for this one, "C" for the forked child):
-    "start" before its first chunk, "ok" or "bad" after each chunk and
-    "done" once it stops claiming.  Before its first claim a process
-    waits while `hold_claims(process, entries)` is true, and before its
-    first chunk while `hold(process, entries)` is true, each for at most
-    10 s.  Returns the result and the entries.
+    "start" before its first chunk, then "ok k" or "bad k" after chunk k.
+    Before its first chunk a process waits while `hold(process, entries)`
+    is true, for at most 10 s.  Returns the result, the entries and the
+    number of chunks.
     """
-    path = tmp_path / "claims.log"
+    path = tmp_path / "chunks.log"
     path.write_text("")
-    parent, parse_chunk, parse_spans = os.getpid(), panel._parse_chunk, panel._parse_spans
+    parent, parse_chunk, parse_all = os.getpid(), panel._parse_chunk, panel._parse_all
+    chunks = []
 
     def who():
         return "P" if os.getpid() == parent else "C"
@@ -802,62 +802,70 @@ def _claims_logged(text, tmp_path, hold, hold_claims=lambda me, entries: False):
         os.write(fd, f"{who()} {entry}\n".encode())  # one write: entries never interleave
         os.close(fd)
 
-    def wait(while_):
-        deadline = time.monotonic() + 10
-        while while_(who(), entries()) and time.monotonic() < deadline:
-            time.sleep(0.001)
-
-    def chunk(*args):
+    def chunk(text, *args):
         if f"{who()} start" not in entries():
             log("start")
-            wait(hold)
-        done = parse_chunk(*args)
-        log("ok" if done else "bad")
+            deadline = time.monotonic() + 10
+            while hold(who(), entries()) and time.monotonic() < deadline:
+                time.sleep(0.001)
+        done = parse_chunk(text, *args)
+        log(f"{'ok' if done else 'bad'} {chunks.index(text)}")
         return done
 
-    def spans(*args):
-        wait(hold_claims)
-        taken = parse_spans(*args)
-        log("done")
-        return taken
+    def all_chunks(read, spans, *args):
+        chunks[:] = [read(start, end) for start, end, _, _ in spans]  # before the fork
+        return parse_all(read, spans, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(panel, "_parse_chunk", chunk)
-        patch.setattr(panel, "_parse_spans", spans)
+        patch.setattr(panel, "_parse_all", all_chunks)
         result = _columnar(text)
-    return result, entries()
+    return result, entries(), len(chunks)
 
 
-def _stall(staller):
-    """`staller` holds its first chunk until the other process stops
-    claiming, which first waits for the staller to start."""
-    other = "C" if staller == "P" else "P"
+def _logged(entries, entry):
+    """The chunk numbers of `entry`, such as "P ok", in the order logged."""
+    return [int(e.rpartition(" ")[2]) for e in entries if e.rpartition(" ")[0] == entry]
 
-    def hold(me, entries):
-        return (f"{other} done" if me == staller else f"{staller} start") not in entries
 
-    return hold
+def _assert_halves(entries, n):
+    """This process parsed chunks 0 ... n // 2 - 1 in order and the child the
+    rest of the `n` from the last one back, each chunk well-formed."""
+    assert _logged(entries, "P ok") == list(range(n // 2))
+    assert _logged(entries, "C ok") == list(range(n - 1, n // 2 - 1, -1))
+    assert not _logged(entries, "P bad") and not _logged(entries, "C bad")
+
+
+@needs_fork
+def test_each_process_parses_a_fixed_half(forks, tmp_path):
+    text = _sovereign_panel(entities=4, n=10)
+    series, entries, n = _chunks_logged(text, tmp_path)
+    assert _rows(series) == _rows(panel._parse_lines(text))
+    assert len(forks) == 1 and n > 10
+    _assert_halves(entries, n)
 
 
 @needs_fork
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 @pytest.mark.parametrize("defect", [None, "head", "tail"])
 def test_forked_parse_reads_labels_first_seen_in_the_child(forks, tmp_path, ending, defect):
-    # serialize_panel sorts by entity and this process keeps only the first
-    # chunk, so the child alone sees the later entities
+    # serialize_panel sorts by entity and the child parses the later half of
+    # the chunks, so it alone sees the later entities
     lines = _sovereign_panel(entities=6, n=8).splitlines()
     if defect is not None:
         i = 3 if defect == "head" else len(lines) - 3
         lines[i] = lines[i].replace(",", ";", 1)
     text = ending.join(lines) + ending
     reference = _outcome(panel._parse_lines, text)
-    columnar, entries = _claims_logged(text, tmp_path, _stall("P"))
-    assert len(forks) == 1
-    assert entries.count("P ok") + entries.count("P bad") == 1
-    assert "C bad" in entries if defect == "tail" else entries.count("C ok") > 10
+    columnar, entries, n = _chunks_logged(text, tmp_path)
+    assert len(forks) == 1 and n > 10
     if defect is None:
+        _assert_halves(entries, n)
         assert len(reference) == 12 and _rows(columnar) == reference
     else:
+        # the defect is in this process's half ("head") or the child's ("tail")
+        bad = [entry for entry in entries if " bad " in entry]
+        assert len(bad) == 1 and bad[0][0] == ("P" if defect == "head" else "C")
         assert columnar is None and reference[0] == i + 1
     assert _outcome(parse_panel, text) == reference
     assert len(forks) == 2
@@ -866,11 +874,11 @@ def test_forked_parse_reads_labels_first_seen_in_the_child(forks, tmp_path, endi
 @needs_fork
 @pytest.mark.parametrize("defect", ["duplicate", "empty_entity", "zero_spread"])
 def test_series_rules_catch_a_defect_in_the_childs_rows(forks, tmp_path, defect):
-    # this process keeps only the first chunk, so the defect is in the
-    # child's rows alone: the child's chunk check rejects a spread that is
-    # not positive, and the checks after the sort the other two
+    # the defect is in the last line, the child's first chunk: the child's
+    # chunk check rejects a spread that is not positive, and the checks after
+    # the sort the other two
     lines = _sovereign_panel(entities=6, n=8).splitlines()
-    i = len(lines) - 3
+    i = len(lines) - 1
     day, entity, tenor, spread = lines[i].split(",")
     if defect == "duplicate":
         i = len(lines)
@@ -881,14 +889,14 @@ def test_series_rules_catch_a_defect_in_the_childs_rows(forks, tmp_path, defect)
         lines[i] = f"{day},{entity},{tenor},0"
     text = "\n".join(lines) + "\n"
     reference = _outcome(panel._parse_lines, text)
-    columnar, entries = _claims_logged(text, tmp_path, _stall("P"))
+    columnar, entries, n = _chunks_logged(text, tmp_path)
     assert columnar is None
-    assert len(forks) == 1
-    assert entries.count("P ok") == 1 and "P bad" not in entries
+    assert len(forks) == 1 and n > 10
     if defect == "zero_spread":
-        assert "C bad" in entries
+        assert _logged(entries, "C bad") == [n - 1] and not _logged(entries, "C ok")
+        assert not _logged(entries, "P bad")
     else:
-        assert entries.count("C ok") > 10 and "C bad" not in entries
+        _assert_halves(entries, n)
     message = {"duplicate": "duplicate observation", "empty_entity": "empty entity",
                "zero_spread": "nonpositive spread '0'"}[defect]
     assert reference[0] == i + 1 and message in reference[1]
@@ -897,61 +905,48 @@ def test_series_rules_catch_a_defect_in_the_childs_rows(forks, tmp_path, defect)
 
 
 @needs_fork
-@pytest.mark.parametrize("idle", ["P", "C"])
-def test_a_process_that_claims_no_chunk_leaves_the_rows_to_the_other(forks, tmp_path, idle):
-    # the idle process makes its first claim once the other has stopped;
-    # an idle child leaves no tail, and an idle parent a tail that is the
-    # whole id column
-    text = _sovereign_panel(entities=4, n=10)
-    other = "C" if idle == "P" else "P"
-    series, entries = _claims_logged(
-        text, tmp_path, lambda me, e: False, lambda me, e: me == idle and f"{other} done" not in e)
-    assert _rows(series) == _rows(panel._parse_lines(text))
-    assert len(forks) == 1
-    assert f"{idle} start" not in entries and f"{idle} done" in entries
-    assert entries.count(f"{other} ok") > 10 and f"{other} bad" not in entries
-
-
-@needs_fork
-@pytest.mark.parametrize("staller", ["P", "C"])
-def test_the_free_process_claims_every_other_chunk(forks, tmp_path, staller):
-    text = _sovereign_panel(entities=4, n=10)
-    series, entries = _claims_logged(text, tmp_path, _stall(staller))
-    other = "C" if staller == "P" else "P"
-    assert _rows(series) == _rows(panel._parse_lines(text))
-    assert len(forks) == 1
-    assert entries.count(f"{staller} ok") == 1
-    assert entries.count(f"{other} ok") > 10
-    assert "P bad" not in entries and "C bad" not in entries
-
-
-@needs_fork
-def test_each_token_claims_a_run_past_the_token_cap(forks, monkeypatch, tmp_path):
-    monkeypatch.setattr(panel, "_TOKENS", 3)
-    # 40 lines of 21 characters: four lines to each 100-character chunk
-    body = [f"2010-01-{day:02d},E{k},5Y,{day % 9 + 1}.5" for k in (1, 2) for day in range(1, 21)]
-    text = "\n".join([panel.PANEL_HEADER, *body]) + "\n"
-    series, entries = _claims_logged(text, tmp_path, _stall("P"))
-    assert _rows(series) == _rows(panel._parse_lines(text))
-    assert len(forks) == 1
-    # three tokens over ten chunks: runs of 4, 3 and 3, the first one here
-    assert (entries.count("P ok"), entries.count("C ok")) == (4, 6)
-
-
-@needs_fork
-def test_a_bad_chunk_stops_the_other_process(forks, tmp_path):
+@pytest.mark.parametrize("bad", ["P", "C"])
+def test_a_bad_chunk_stops_the_other_process(forks, tmp_path, bad):
+    # the defect is in the first chunk, this process's first, or in the last,
+    # the child's first; it is met once the other process has started its
+    # first chunk, which it holds until the defect is logged, and the other
+    # then stops before its second
     lines = _sovereign_panel(entities=4, n=10).splitlines()
-    lines[2] = lines[2].replace(",", ";", 1)  # in the first chunk, this process's
+    i = 1 if bad == "P" else len(lines) - 1
+    lines[i] = lines[i].replace(",", ";", 1)
     text = "\n".join(lines) + "\n"
-    # each process holds its first chunk: this one until the child has claimed
-    # one, the child until this one has stopped
-    result, entries = _claims_logged(
-        text, tmp_path, lambda me, e: ("C start" if me == "P" else "P done") not in e)
+    other = "C" if bad == "P" else "P"
+
+    def hold(me, entries):
+        if me == bad:
+            return f"{other} start" not in entries
+        if f"{bad} bad" in "\n".join(entries):
+            time.sleep(0.05)  # the stop byte is set just after the entry
+            return False
+        return True
+
+    result, entries, n = _chunks_logged(text, tmp_path, hold)
     assert result is None
-    assert len(forks) == 1
-    assert entries.count("P bad") == 1 and "P ok" not in entries
-    assert 1 <= entries.count("C ok") <= 2  # its first chunk, and one it claimed before the drain
+    assert len(forks) == 1 and n > 10
+    first = {"P": 0, "C": n - 1}
+    assert _logged(entries, f"{bad} bad") == [first[bad]] and not _logged(entries, f"{bad} ok")
+    assert _logged(entries, f"{other} ok") == [first[other]]
+    assert not _logged(entries, f"{other} bad")
     assert _outcome(parse_panel, text) == _outcome(panel._parse_lines, text)
+
+
+@pytest.mark.parametrize("cpus", [{0}, pytest.param({0, 1}, marks=needs_fork)])
+def test_a_failed_parse_leaves_no_stop_set_for_the_next(request, monkeypatch, cpus):
+    # a stop byte that outlived the failed parse would stop the next one
+    forks = request.getfixturevalue("forks") if len(cpus) > 1 else []
+    monkeypatch.setattr(panel, "_CHUNK", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    text = _sovereign_panel(entities=4, n=10)
+    lines = text.splitlines()
+    lines[2] = lines[2].replace(",", ";", 1)
+    assert _columnar("\n".join(lines) + "\n") is None
+    assert _rows(_columnar(text)) == _rows(panel._parse_lines(text))
+    assert len(forks) == 2 * (len(cpus) - 1)
 
 
 @needs_fork
@@ -978,8 +973,8 @@ def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, 
         monkeypatch.setattr(os, "_exit", exit_7_in_child)
     else:
         monkeypatch.setattr(panel, "_parse_chunk", chunk_in_child)
-    # this process holds its first chunk until the child has claimed one
-    result, _ = _claims_logged(text, tmp_path, lambda me, e: me == "P" and "C start" not in e)
+    # this process holds its first chunk until the child has started its own
+    result, _, _ = _chunks_logged(text, tmp_path, lambda me, e: me == "P" and "C start" not in e)
     assert result is None
     _assert_no_child_left()
     assert _rows(parse_panel(text)) == expected
@@ -1073,10 +1068,11 @@ def _former_break_labels():
 def test_labels_holding_former_line_breaks_round_trip(forked, request, tmp_path):
     series = _former_break_labels()
     text = serialize_panel(series)
-    if forked:  # this process keeps only the first chunk: the child sends the other labels
+    if forked:  # the child parses the later half of the chunks and sends their labels
         forks = request.getfixturevalue("forks")
-        columnar, entries = _claims_logged(text, tmp_path, _stall("P"))
-        assert len(forks) == 1 and entries.count("P ok") == 1 and entries.count("C ok") > 10
+        columnar, entries, n = _chunks_logged(text, tmp_path)
+        assert len(forks) == 1 and n > 10
+        _assert_halves(entries, n)
     else:
         columnar = _columnar(text)
     assert _rows(columnar) == _rows(series) == _rows(panel._parse_lines(text))
