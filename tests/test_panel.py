@@ -949,6 +949,37 @@ def test_a_failed_parse_leaves_no_stop_set_for_the_next(request, monkeypatch, cp
     assert len(forks) == 2 * (len(cpus) - 1)
 
 
+@pytest.mark.parametrize("case", ["clean", "bad", "set"])
+def test_parse_spans_stops_at_a_bad_chunk_or_a_set_stop_byte(monkeypatch, case):
+    # one process alone: a bad chunk sets the stop byte and is the last one
+    # parsed; a byte set before the parse stops it before its first chunk
+    monkeypatch.setattr(panel, "_CHUNK", 100)
+    lines = _sovereign_panel(entities=4, n=10).splitlines()
+    if case == "bad":
+        lines[20] = lines[20].replace(",", ";", 1)  # the 20th row
+    text = "\n".join(lines) + "\n"
+    handed = []
+    monkeypatch.setattr(panel, "_parse_all", lambda *args: handed.append(args) or False)
+    assert _columnar(text) is None
+    (read, spans, columns, series_ids), = handed
+    assert len(spans) > 10
+    parsed, parse_chunk = [], panel._parse_chunk
+
+    def chunk(text, *args):
+        parsed.append(text)
+        return parse_chunk(text, *args)
+
+    monkeypatch.setattr(panel, "_parse_chunk", chunk)
+    stop = mmap.mmap(-1, 1)
+    stop[0] = case == "set"
+    done = panel._parse_spans(read, spans, columns, series_ids, stop)
+    assert done == (case == "clean") and stop[0] == (case != "clean")
+    bad = next(k for k, (_, _, lo, hi) in enumerate(spans) if lo <= 19 < hi)
+    assert 0 < bad < len(spans) - 1  # chunks come both before and after it
+    last = {"clean": len(spans), "bad": bad + 1, "set": 0}[case]
+    assert parsed == [read(start, end) for start, end, _, _ in spans[:last]]
+
+
 @needs_fork
 @pytest.mark.parametrize("failure", ["raise", "die", "exit_7"])
 def test_a_failing_child_leaves_the_text_to_the_line_parser(forks, monkeypatch, tmp_path,
