@@ -137,13 +137,16 @@ def _build_parser() -> _Parser:
 
 
 def _write_output(path: str, text: str) -> None:
-    data = text.encode("utf-8")  # a lone surrogate from argv fails before any output
-    if path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()  # a closed pipe surfaces here, not at shutdown
+    # ASCII text is written 64 KiB at a time, so it is never held twice; other
+    # text is encoded whole, so a lone surrogate from argv fails before any output
+    if text.isascii():
+        pieces = (text[i:i + 65536].encode("ascii") for i in range(0, len(text), 65536))
     else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        pieces = [text.encode("utf-8")]
+    with nullcontext(sys.stdout.buffer) if path == "-" else open(path, "wb") as fh:
+        for piece in pieces:
+            fh.write(piece)
+        fh.flush()  # a closed pipe surfaces here, not at shutdown
 
 
 def _closed_pipe() -> int:
