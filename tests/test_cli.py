@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -21,7 +22,7 @@ from benfordtrack import (
     synth_panel,
     window_ranges,
 )
-from benfordtrack.cli import main
+from benfordtrack.cli import _write_output, main
 from benfordtrack.panel import _CHUNK
 from helpers import cli_env, kernel_digests
 
@@ -80,6 +81,24 @@ def test_synth_label_that_is_not_utf8_is_a_data_error(to_file, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "surrogates not allowed" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["A", "Zürich"])
+def test_output_is_written_whole_and_ascii_is_never_encoded_whole(label, tmp_path):
+    # 3.5 pieces of 64 KiB: a lost last piece or a repeated one changes the bytes
+    text = "".join(f"{i:07d},{label}\n" for i in range(7 * 65536 // (9 + len(label))))
+    out = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        _write_output(str(out), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == text.encode("utf-8")
+    if text.isascii():
+        assert peak < 4 * 65536  # a whole encode would trace about 7 pieces
+    else:
+        assert peak > len(text)
 
 
 def test_synth_requires_a_seed(capsys):
