@@ -160,11 +160,11 @@ def _load_changes(args):
     with nullcontext(sys.stdin.buffer) if args.input == "-" else open(args.input, "rb") as fh:
         series = parse_panel(fh)
     tenors = set(args.tenor) if args.tenor else None
-    kept = [s for s in series if tenors is None or s.tenor in tenors]
-    return [
+    # a generator, so a report that reads each series once holds one series' changes
+    return (
         daily_changes(s, max_gap_days=args.max_gap_days, mode=args.change_mode)
-        for s in kept
-    ]
+        for s in series if tenors is None or s.tenor in tenors
+    )
 
 
 def _run_report(parser: _Parser, args, parameters, build):

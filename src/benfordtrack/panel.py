@@ -278,7 +278,8 @@ class _Days(dict):
 class _Packed(NamedTuple):
     """A parsed and checked panel: `keys` holds ``(series id * _DAY_SPAN + day) << shift
     | row`` in sorted order, with the day counted from 0001-01-01 and the row's position in
-    `spreads`, which keeps the input's order; series id i is `labels[i]`."""
+    `spreads`, which keeps the input's order; series id i is `labels[i]`.  `series` swaps
+    the two columns' roles: `keys` ends holding the sorted spreads, `spreads` the dates."""
 
     labels: list
     keys: np.ndarray
@@ -286,19 +287,27 @@ class _Packed(NamedTuple):
     shift: int
 
     def series(self) -> list[SpreadSeries]:
-        """The series in `_parse_lines` order; call once, as the keys become dates in place."""
+        """The series in `_parse_lines` order; call once, as both columns are overwritten.
+
+        Block by block, each key's day goes to an int32 column and the key
+        itself becomes its row's spread; once every row is gathered, the
+        dates go where the input-order spreads were.  So the peak holds
+        the two columns and the days, 20 bytes a row, and the series are
+        read-only views of the two columns.
+        """
         labels, keys, spreads, shift = self
-        ordered = np.empty_like(spreads)
+        # where each series but the first starts; every threshold fits int64 as the keys do
+        starts = keys.searchsorted(np.arange(1, len(labels)) * _DAY_SPAN << shift).tolist()
+        bounds, days = [0, *starts, len(keys)], np.empty(len(keys), np.int32)
         for lo in range(0, len(keys), _BLOCK):
-            rows = keys[lo : lo + _BLOCK] & ((1 << shift) - 1)
-            np.take(spreads, rows, out=ordered[lo : lo + _BLOCK], mode="clip")  # "raise" buffers
-        keys >>= shift
-        bounds = keys.searchsorted(np.arange(len(labels) + 1) * _DAY_SPAN).tolist()
-        keys %= _DAY_SPAN
-        keys += _FIRST_DAY.astype(np.int64)
-        ordered.flags.writeable = False  # series hold views
-        # a read-only buffer, as views of the writable mapping could be made writable
-        dates = np.frombuffer(memoryview(keys).toreadonly(), "datetime64[D]")
+            block = keys[lo : lo + _BLOCK]
+            days[lo : lo + _BLOCK] = (block >> shift) % _DAY_SPAN
+            # "clip" as "raise" buffers; the rows are taken before the block is overwritten
+            np.take(spreads, block & ((1 << shift) - 1), out=block.view(float), mode="clip")
+        np.add(days, _FIRST_DAY.astype(np.int64), out=spreads.view(np.int64))
+        # read-only buffers, as views of the writable mappings could be made writable
+        dates = np.frombuffer(memoryview(spreads).toreadonly(), "datetime64[D]")
+        ordered = np.frombuffer(memoryview(keys).toreadonly(), float)
         series = [SpreadSeries.__new__(SpreadSeries) for _ in labels]
         for s, (entity, tenor), lo, hi in zip(series, labels, bounds, bounds[1:]):
             vars(s).update(entity=entity, tenor=tenor, dates=dates[lo:hi], spreads=ordered[lo:hi])

@@ -116,10 +116,6 @@ def fit_trend(values: Sequence[float], metric: str) -> TrendFit:
     return TrendFit(metric, slope, y_mean - slope * x_mean, r_squared)
 
 
-def _by_key(series: Iterable[ChangeSeries]) -> list[ChangeSeries]:
-    return sorted(series, key=lambda s: (s.entity, s.tenor))
-
-
 def _period_cell(s: ChangeSeries, period: PeriodSpec) -> DigitHistogram | str:
     """Digits of the changes dated within `period`, or why it has none."""
     changes = s.slice(period.start, period.end).changes
@@ -142,16 +138,23 @@ def build_period_report(
 
     A cell that cannot be measured (an empty slice, or one holding only
     zero changes) becomes an annotated row instead of an error: its
-    measurements are missing and its error message is its verdict.  The
-    measurable cells of all series are measured in one conformity call.
+    measurements are missing and its error message is its verdict.
+    `series` is read once, one series' cells cut before the next series
+    is read, so a generator's series need not all be alive at once; the
+    rows are then ordered by entity and tenor, series of one pair in the
+    order read.  The measurable cells of all series are measured in one
+    conformity call.
     """
-    rows = [(s, period) for s in _by_key(series) for period in periods]
-    cells = [_period_cell(s, period) for s, period in rows]
+    groups = sorted(
+        ((s.entity, s.tenor, [_period_cell(s, period) for period in periods]) for s in series),
+        key=lambda group: group[:2],
+    )
+    cells = [cell for *_, group in groups for cell in group]
     stats = conformity([h for h in cells if not isinstance(h, str)], alpha)
     columns = {
-        "entity": [s.entity for s, _ in rows],
-        "tenor": [s.tenor for s, _ in rows],
-        "period": [period.label for _, period in rows],
+        "entity": [entity for entity, _, _ in groups for _ in periods],
+        "tenor": [tenor for _, tenor, _ in groups for _ in periods],
+        "period": [period.label for _ in groups for period in periods],
     }
     for name in PERIOD_COLUMNS[3:]:
         measured = iter(getattr(stats, name))
@@ -176,7 +179,7 @@ def build_track_report(
     need at least two windows; a series yielding a single window
     contributes rows but no trends.
     """
-    ordered = _by_key(series)
+    ordered = sorted(series, key=lambda s: (s.entity, s.tenor))  # so errors come in key order
     stats = conformity(h for s in ordered for h in track(s, spec))
     columns = {name: [] for name in TRACK_COLUMNS[:5]}
     columns.update((name, getattr(stats, name)) for name in TRACK_COLUMNS[5:])

@@ -530,6 +530,19 @@ def test_track_short_series_is_a_data_error(tmp_path, capsys):
     assert "too short" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "track"])
+def test_a_one_observation_series_is_a_data_error_before_any_output(command, tmp_path, capsys):
+    # AA, first by key, is too short to window; ZZ, last, has no change at
+    # all, and its error comes first under both commands
+    short = synth_panel(SynthSpec("benford", 30, 1), entity="AA")
+    single = SpreadSeries("ZZ", "5Y", [(short.dates[0].item(), 12.5)])
+    path = tmp_path / "single.csv"
+    path.write_text(serialize_panel([short, single]), encoding="utf-8")
+    for fmt in ("text", "csv", "json"):
+        argv = [command, "--input", str(path), "--format", fmt]
+        assert run_cli(argv, capsys) == (2, "", "error: series too short\n")
+
+
 def test_track_all_zero_window_is_a_data_error(tmp_path, capsys):
     good = synth_panel(SynthSpec("benford", 400, 1), entity="AA")
     # BB quotes one level from its 101st to its 301st day: the windows

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import weakref
 from datetime import date
 from fractions import Fraction
 
@@ -203,6 +204,43 @@ def test_build_period_report_measures_the_panel_in_one_call(monkeypatch):
     # GR's 200 weekdays of 2011 miss pre_crisis and post_crisis
     assert calls == [23]
     assert len(report_rows(report)) == 25
+
+
+def test_build_period_report_holds_one_series_of_a_generator_at_a_time():
+    entities, alive, refs = ("DE", "AT", "FR", "DE", "BE"), [], []
+
+    def make(seed):
+        return make_change_series(list(generate(SynthSpec("benford", 1750, seed))),
+                                  entity=entities[seed])
+
+    def stream():
+        for seed in range(len(entities)):
+            alive.append(sum(ref() is not None for ref in refs))  # at each next()
+            series = make(seed)
+            refs.append(weakref.ref(series))
+            yield series
+            del series
+
+    report = build_period_report(stream(), named_periods())
+    # only the series whose cells were cut last, which the next one replaces
+    assert alive == [0, 1, 1, 1, 1]
+    assert all(ref() is None for ref in refs)
+    assert report == build_period_report(list(map(make, range(len(entities)))), named_periods())
+
+
+def test_build_period_report_orders_a_stream_by_key_keeping_repeats_in_order():
+    panel = _panel()
+    # a second (DE, 5Y) series with other changes, so the two rows differ
+    panel.append(make_change_series(list(generate(SynthSpec("benford", 1750, 9))),
+                                    entity="DE", tenor="5Y"))
+    random.Random(3).shuffle(panel)
+    ordered = sorted(panel, key=lambda s: (s.entity, s.tenor))
+    assert [s.entity for s in ordered] != [s.entity for s in panel]
+    report = build_period_report(iter(panel), named_periods())
+    assert report == build_period_report(ordered, named_periods())
+    repeats = [s for s in panel if (s.entity, s.tenor) == ("DE", "5Y")]
+    alone = [r for s in repeats for r in _cells_of(build_period_report([s], named_periods()))]
+    assert [r for r in _cells_of(report) if (r["entity"], r["tenor"]) == ("DE", "5Y")] == alone
 
 
 def test_build_period_report_aligns_measures_around_failed_cells():
